@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
-# Full local CI: plain build + tests, then ASan and TSan builds of the same
-# suite, then the seeded chaos sweep (plain + TSan) and the docs checks.
+# Full local CI: plain build + tests, then ASan, TSan and UBSan builds of the
+# same suite, then the seeded chaos sweep (plain + TSan) and the docs checks.
 # Each sanitizer uses its own build dir so the plain `build/` cache (and its
 # generator choice) is never disturbed.
 #
-# Usage: scripts/check.sh [plain|novec|asan|tsan|chaos|resultcache|txn|sched|zerocopy|bench|docs]...
+# Usage: scripts/check.sh [plain|novec|asan|tsan|ubsan|chaos|resultcache|txn|sched|zerocopy|bench|docs]...
 # (default: all)
 set -eu
 
@@ -21,6 +21,7 @@ run_suite() {  # run_suite <build-dir> <extra-cmake-args...>
 do_plain() { run_suite build; }
 do_asan()  { run_suite build-asan -DBL_SANITIZE=address; }
 do_tsan()  { run_suite build-tsan -DBL_SANITIZE=thread; }
+do_ubsan() { run_suite build-ubsan -DBL_SANITIZE=undefined; }
 do_docs()  { "$ROOT/scripts/check_metrics_doc.sh"; }
 
 # Expression-kernel correctness must never depend on the compiler actually
@@ -125,7 +126,7 @@ do_sched() {
 
 stages=("$@")
 if [[ ${#stages[@]} -eq 0 ]]; then
-  stages=(plain novec asan tsan chaos resultcache txn sched zerocopy bench docs)
+  stages=(plain novec asan tsan ubsan chaos resultcache txn sched zerocopy bench docs)
 fi
 
 for stage in "${stages[@]}"; do

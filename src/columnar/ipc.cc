@@ -188,11 +188,14 @@ void EncodeColumn(std::string* dst, const Column& col) {
       switch (col.type()) {
         case DataType::kInt64:
         case DataType::kTimestamp: {
-          // Delta-zigzag-varint: compact for sorted/clustered data.
-          int64_t prev = 0;
+          // Delta-zigzag-varint: compact for sorted/clustered data. Deltas
+          // wrap modulo 2^64 (unsigned arithmetic) so extreme neighbours
+          // never overflow; the decoder wraps back the same way.
+          uint64_t prev = 0;
           for (int64_t v : col.int64_data()) {
-            PutVarint64Signed(dst, v - prev);
-            prev = v;
+            const uint64_t delta = static_cast<uint64_t>(v) - prev;
+            PutVarint64Signed(dst, static_cast<int64_t>(delta));
+            prev = static_cast<uint64_t>(v);
           }
           break;
         }
@@ -246,12 +249,12 @@ Result<Column> DecodeColumn(Decoder* dec) {
         case DataType::kInt64:
         case DataType::kTimestamp: {
           std::vector<int64_t> vals(length);
-          int64_t prev = 0;
+          uint64_t prev = 0;
           for (uint64_t i = 0; i < length; ++i) {
             int64_t delta;
             BL_RETURN_NOT_OK(dec->GetVarint64Signed(&delta));
-            prev += delta;
-            vals[i] = prev;
+            prev += static_cast<uint64_t>(delta);
+            vals[i] = static_cast<int64_t>(prev);
           }
           Column c = Column::MakeInt64(std::move(vals), std::move(validity));
           if (type == DataType::kTimestamp) c = c.WithType(DataType::kTimestamp);

@@ -161,6 +161,34 @@ class BlmtService {
   Result<RecordBatch> ReadFile(const TableDef& table,
                                const CachedFileMeta& file);
 
+  /// The file rewrite one DELETE or UPDATE statement produces.
+  struct Rewrite {
+    const TableDef* table = nullptr;
+    uint64_t matched = 0;  // rows deleted or updated
+    std::vector<std::string> removals;
+    std::vector<CachedFileMeta> additions;
+  };
+  /// Plans a DELETE (`assignments` == nullptr) or an UPDATE as of
+  /// `snapshot_txn`: checks access and arguments, prunes candidates by
+  /// stats, reads each candidate whole and rewrites every file with
+  /// matches — without the matching rows, or with `assignments` applied.
+  Result<Rewrite> PlanRewrite(const Principal& principal,
+                              const std::string& table_id,
+                              const ExprPtr& predicate,
+                              const std::map<std::string, Value>* assignments,
+                              uint64_t snapshot_txn);
+  /// Runs a DELETE/UPDATE in its own transaction when transactional, else
+  /// swaps the rewritten files in directly.
+  Result<uint64_t> RunRewrite(const Principal& principal,
+                              const std::string& table_id,
+                              const ExprPtr& predicate,
+                              const std::map<std::string, Value>* assignments);
+  /// Stages a DELETE/UPDATE into `txn` (TxnDelete / TxnUpdate).
+  Result<uint64_t> StageRewrite(
+      meta::LakehouseTxn* txn, const Principal& principal,
+      const std::string& table_id, const ExprPtr& predicate,
+      const std::map<std::string, Value>* assignments);
+
   LakehouseEnv* env_;
   BlmtOptions options_;
   std::map<std::string, std::vector<std::string>> clustering_;

@@ -10,10 +10,15 @@
 // is not — and returns parallel streams plus table statistics that external
 // engines feed into their optimizers (Sec 3.4).
 //
-// ReadRows executes the whole per-stream pipeline *inside the trust
-// boundary*: scan -> pushed-down predicate -> security row filter ->
-// projection -> masking -> Arrow-lite serialization. The consuming engine is
-// untrusted; it only ever sees post-policy bytes.
+// ReadRows is the single enforcement point every engine reads through. It
+// runs one stream *inside the trust boundary* as four named stages:
+//   fetch  — credential check, footer, row-group pruning and decode, inline
+//            or through a readahead window on the prefetch pool;
+//   select — pushed-down predicate, then the security row filter;
+//   govern — projection onto the requested columns plus data masking;
+//   emit   — response-sized local handles (or one pushed-down partial
+//            aggregate per stream), with byte accounting.
+// The consuming engine is untrusted; it only ever sees post-policy batches.
 
 #ifndef BIGLAKE_CORE_READ_API_H_
 #define BIGLAKE_CORE_READ_API_H_
@@ -31,8 +36,6 @@
 #include "columnar/ipc.h"
 #include "common/thread_pool.h"
 #include "core/environment.h"
-#include "fault/retry.h"
-#include "format/parquet_lite.h"
 #include "meta/bigmeta.h"
 
 namespace biglake {
@@ -47,11 +50,10 @@ struct ReadSessionOptions {
   uint64_t snapshot_txn = kLatestTxn;
   /// Desired read parallelism; actual stream count <= this.
   uint32_t max_streams = 8;
-  /// Use the legacy row-oriented reader + transcode path instead of the
-  /// vectorized reader (the Sec 3.4 before/after comparison).
+  /// Baseline kept for bench_read_api_governance and read_api_test: the
+  /// legacy row-oriented reader + transcode path instead of the vectorized
+  /// reader (the Sec 3.4 before/after comparison).
   bool use_row_oriented_reader = false;
-  /// Rows per ReadRows response batch.
-  uint64_t response_batch_rows = 4096;
   /// Where the consuming engine runs. Reads of data in another cloud cross
   /// the WAN and incur egress (the Omni naive-federation baseline). Unset =
   /// colocated with the data.
@@ -84,7 +86,9 @@ struct ReadSessionOptions {
   /// kernels (src/columnar/kernels.h) and a deferred SelectionVector, fusing
   /// filter+project into one gather per block instead of two eager
   /// Filter() copies plus a Project(). Row-identical to the legacy path;
-  /// ignored by the row-oriented reader (the "before" baseline).
+  /// ignored by the row-oriented reader (the "before" baseline). `false` is
+  /// the boxed kernels-off baseline kept for bench_expr_kernels,
+  /// bench_string_transport and the perfbench oracle.
   bool use_vectorized_kernels = true;
 };
 
@@ -95,7 +99,12 @@ struct ReadStream {
   uint64_t estimated_rows = 0;
 };
 
-/// The result of CreateReadSession.
+/// Server-side session state (governance resolution, scan columns, per-stream
+/// overlap); defined in read_api.cc.
+struct ReadSessionState;
+
+/// The result of CreateReadSession. Copies share the session's state, which
+/// lives as long as the last copy (a refined session keeps its own).
 struct ReadSession {
   std::string session_id;
   std::string table_id;
@@ -109,30 +118,17 @@ struct ReadSession {
   /// Diagnostics surfaced to benches.
   uint64_t files_pruned = 0;
   uint64_t files_total = 0;
-};
 
-struct ReadApiOptions {
-  /// Per-CreateReadSession control-plane cost: session state is persisted
-  /// (to Spanner in the paper — "creating a read session is expensive").
-  SimMicros create_session_latency = 15'000;  // 15 ms
-  /// RefineSession reuses the persisted state and only re-prunes: much
-  /// cheaper than a fresh session (Sec 3.4 future work, implemented).
-  SimMicros refine_session_latency = 2'000;  // 2 ms
-  /// Server-side CPU cost per value processed by the vectorized pipeline,
-  /// and the multiplier for the row-oriented prototype (Sec 3.4 reports
-  /// ~an order of magnitude CPU difference).
-  double vectorized_micros_per_value = 0.002;
-  double row_oriented_cpu_multiplier = 10.0;
-  /// Stream reads are idempotent (they mutate nothing but accounting), so a
-  /// ReadRows attempt that fails transiently is retried whole under this
-  /// policy — the paper's per-stream retry behavior.
-  fault::RetryPolicy retry;
+ private:
+  friend class StorageReadApi;
+  /// Issued by one StorageReadApi for `session_id`; a handle whose issuer
+  /// or id does not match is refused with NotFound.
+  std::shared_ptr<ReadSessionState> state_;
 };
 
 class StorageReadApi {
  public:
-  explicit StorageReadApi(LakehouseEnv* env, ReadApiOptions options = {})
-      : env_(env), options_(options) {}
+  explicit StorageReadApi(LakehouseEnv* env) : env_(env) {}
 
   /// Creates a session for `principal` over `table_id`. Fails with
   /// PermissionDenied / Unauthenticated on any governance violation.
@@ -178,62 +174,26 @@ class StorageReadApi {
   /// Engines subtract this from per-stream virtual elapsed time when
   /// computing analytic wall time; total resource time is unaffected.
   /// Serial context only (call after the scan's parallel region joined).
-  SimMicros StreamOverlapSaved(const std::string& session_id,
+  SimMicros StreamOverlapSaved(const ReadSession& session,
                                size_t stream_index) const;
 
  private:
-  struct SessionState {
-    ReadSessionOptions options;
-    const TableDef* table = nullptr;
-    Credential credential;       // delegated, scoped to the table prefix
-    EffectiveAccess access;      // resolved fine-grained policy
-    std::vector<std::string> read_columns;  // pre-mask projection
-    /// Per-stream overlap (see StreamOverlapSaved); slot s is written only
-    /// by the task reading stream s.
-    std::vector<SimMicros> overlap_saved;
-  };
-
-  /// Everything fetch+decode produces for one data file, before any
-  /// consumer-side processing (partition columns, filters, masking). Blocks
-  /// are shared with the block cache and never mutated in place.
-  struct FileBlocks {
-    bool skip = false;  // non-data file / foreign-schema file (counted)
-    std::shared_ptr<const ParquetFileMeta> meta;
-    std::vector<std::pair<size_t, std::shared_ptr<const RecordBatch>>> blocks;
-    uint64_t values_decoded = 0;
-    uint64_t cache_hits = 0;
-    uint64_t cache_misses = 0;
-  };
-
   /// One full read of a stream; retried whole by ReadStreamHandles on
   /// transient failure (all its state is local, so attempts are
   /// independent).
   Result<std::vector<BatchHandle>> ReadRowsAttempt(
-      const ReadSession& session, SessionState& state, size_t stream_index,
-      const std::string& stream_key);
+      const ReadSession& session, ReadSessionState& state,
+      size_t stream_index, const std::string& stream_key);
+
+  /// The session's state if this instance issued it, else NotFound.
+  Result<ReadSessionState*> StateOf(const ReadSession& session) const;
 
   /// Collects (and prunes) the file list for a table, via Big Metadata when
   /// cached, else via LIST + footer peeks (the slow pre-BigLake path).
   Result<PrunedFiles> CollectFiles(const TableDef& table,
                                    const Credential& credential,
                                    const ExprPtr& predicate, uint64_t txn,
-                                   uint64_t* files_total,
                                    bool use_block_cache);
-
-  /// Fetch+decode of one data file: credential check, footer (cache-aware),
-  /// row-group pruning, then per-group decoded blocks (cache-aware). Safe to
-  /// run on a prefetch worker: all simulated charges go to the installed
-  /// ChargeShard and cache mutations to the installed CacheTxn. A block or
-  /// footer is admitted to the cache only when every underlying read
-  /// observed the expected object generation — a faulted or partially-read
-  /// block is never admitted.
-  Result<FileBlocks> FetchFileBlocks(const SessionState& state,
-                                     const TableDef& table,
-                                     const ObjectStore* store,
-                                     const CallerContext& ctx,
-                                     const CachedFileMeta& fm,
-                                     cache::BlockCache* cache,
-                                     uint64_t projection_fp) const;
 
   /// The dedicated prefetch pool (lazily built, thread-safe). Distinct from
   /// any engine pool: a stream task blocks waiting on its readahead window,
@@ -241,9 +201,7 @@ class StorageReadApi {
   ThreadPool* prefetch_pool();
 
   LakehouseEnv* env_;
-  ReadApiOptions options_;
   uint64_t next_session_ = 1;
-  std::map<std::string, SessionState> sessions_;
   std::once_flag prefetch_pool_once_;
   std::unique_ptr<ThreadPool> prefetch_pool_;
 };

@@ -1,6 +1,7 @@
 #include "extengine/spark_lite.h"
 
 #include <algorithm>
+#include <set>
 
 #include "common/strings.h"
 #include "engine/operators.h"
@@ -240,15 +241,9 @@ Result<RecordBatch> SparkLiteEngine::ExecuteNode(const Principal& principal,
           if (options_.reuse_read_sessions) {
             // Session reuse: narrow the base session in place instead of
             // paying a second full session creation.
-            ReadSessionOptions opts;
-            opts.columns = probe->scan.columns;
-            opts.predicate = probe->scan.predicate;
-            opts.max_streams = options_.executors;
-            opts.use_block_cache = options_.use_block_cache;
-            opts.readahead_depth = options_.readahead_depth;
             SimTimer plan_timer(env_->sim());
             auto base = read_api_->CreateReadSession(
-                principal, probe->scan.table_id, opts);
+                principal, probe->scan.table_id, SessionOptions(probe->scan));
             if (base.ok()) {
               auto refined = read_api_->RefineSession(*base, in_list);
               if (refined.ok()) {
@@ -306,13 +301,10 @@ Result<RecordBatch> SparkLiteEngine::ExecuteNode(const Principal& principal,
         if (spec.op == AggOp::kAvg) pushable = false;
       }
       if (pushable) {
-        ReadSessionOptions opts;
-        opts.predicate = child->scan.predicate;
-        opts.max_streams = options_.executors;
+        ReadSessionOptions opts = SessionOptions(child->scan);
+        opts.columns.clear();  // the partials read their own inputs
         opts.aggregate_group_by = node->group_by;
         opts.partial_aggregates = node->aggregates;
-        opts.use_block_cache = options_.use_block_cache;
-        opts.readahead_depth = options_.readahead_depth;
         SimTimer plan_timer(env_->sim());
         auto session = read_api_->CreateReadSession(
             principal, child->scan.table_id, opts);
@@ -334,8 +326,7 @@ Result<RecordBatch> SparkLiteEngine::ExecuteNode(const Principal& principal,
             stats->total_micros += e;
             // Readahead hides part of the stream's I/O behind compute;
             // the wall estimate (not resource time) shrinks accordingly.
-            SimMicros saved =
-                read_api_->StreamOverlapSaved(session->session_id, st);
+            SimMicros saved = read_api_->StreamOverlapSaved(*session, st);
             elapsed.push_back(e > saved ? e - saved : 0);
             partials.push_back(std::move(b));
           }
@@ -392,49 +383,7 @@ Result<RecordBatch> SparkLiteEngine::ReadSessionStreams(
     BL_ASSIGN_OR_RETURN(RecordBatch b, read_api_->ReadStreamBatch(session, st));
     SimMicros e = t.ElapsedMicros();
     stats->total_micros += e;
-    SimMicros saved = read_api_->StreamOverlapSaved(session.session_id, st);
-    elapsed.push_back(e > saved ? e - saved : 0);
-    ChargeCpu(b.num_rows(), stats);
-    batches.push_back(std::move(b));
-  }
-  std::sort(elapsed.rbegin(), elapsed.rend());
-  for (size_t i = 0; i < elapsed.size(); i += options_.executors) {
-    stats->wall_micros += elapsed[i];
-  }
-  if (batches.empty()) return RecordBatch::Empty(session.output_schema);
-  return RecordBatch::Concat(batches);
-}
-
-Result<RecordBatch> SparkLiteEngine::ConnectorScan(const Principal& principal,
-                                                   const ScanSpec& scan,
-                                                   SparkQueryStats* stats) {
-  // Driver: create the session with projection + predicate pushdown.
-  ReadSessionOptions opts;
-  opts.columns = scan.columns;
-  opts.predicate = scan.predicate;
-  opts.max_streams = options_.executors;
-  opts.use_block_cache = options_.use_block_cache;
-  opts.readahead_depth = options_.readahead_depth;
-  SimTimer plan_timer(env_->sim());
-  BL_ASSIGN_OR_RETURN(
-      ReadSession session,
-      read_api_->CreateReadSession(principal, scan.table_id, opts));
-  SimMicros plan_cost = plan_timer.ElapsedMicros();
-  stats->wall_micros += plan_cost;
-  stats->total_micros += plan_cost;
-  ++stats->sessions_created;
-  stats->files_scanned += session.files_total - session.files_pruned;
-  stats->files_pruned += session.files_pruned;
-
-  // Executors: parallel stream reads; wall time = slowest stream per wave.
-  std::vector<RecordBatch> batches;
-  std::vector<SimMicros> elapsed;
-  for (size_t s = 0; s < session.streams.size(); ++s) {
-    SimTimer t(env_->sim());
-    BL_ASSIGN_OR_RETURN(RecordBatch b, read_api_->ReadStreamBatch(session, s));
-    SimMicros e = t.ElapsedMicros();
-    stats->total_micros += e;
-    SimMicros saved = read_api_->StreamOverlapSaved(session.session_id, s);
+    SimMicros saved = read_api_->StreamOverlapSaved(session, st);
     elapsed.push_back(e > saved ? e - saved : 0);
     // Arrow-native ingestion: negligible copy cost, tiny per-row handling.
     ChargeCpu(b.num_rows(), stats);
@@ -448,6 +397,32 @@ Result<RecordBatch> SparkLiteEngine::ConnectorScan(const Principal& principal,
   return RecordBatch::Concat(batches);
 }
 
+ReadSessionOptions SparkLiteEngine::SessionOptions(const ScanSpec& scan) const {
+  ReadSessionOptions opts;
+  opts.columns = scan.columns;
+  opts.predicate = scan.predicate;
+  opts.max_streams = options_.executors;
+  return opts;
+}
+
+Result<RecordBatch> SparkLiteEngine::ConnectorScan(const Principal& principal,
+                                                   const ScanSpec& scan,
+                                                   SparkQueryStats* stats) {
+  // Driver: create the session with projection + predicate pushdown.
+  SimTimer plan_timer(env_->sim());
+  BL_ASSIGN_OR_RETURN(ReadSession session,
+                      read_api_->CreateReadSession(principal, scan.table_id,
+                                                   SessionOptions(scan)));
+  SimMicros plan_cost = plan_timer.ElapsedMicros();
+  stats->wall_micros += plan_cost;
+  stats->total_micros += plan_cost;
+  ++stats->sessions_created;
+  stats->files_scanned += session.files_total - session.files_pruned;
+  stats->files_pruned += session.files_pruned;
+  // Executors: parallel stream reads; wall time = slowest stream per wave.
+  return ReadSessionStreams(session, stats);
+}
+
 Result<RecordBatch> SparkLiteEngine::DirectScan(const ScanSpec& scan,
                                                 SparkQueryStats* stats) {
   BL_ASSIGN_OR_RETURN(ObjectStore * store, env_->FindStore(scan.location));
@@ -458,6 +433,12 @@ Result<RecordBatch> SparkLiteEngine::DirectScan(const ScanSpec& scan,
                       store->ListAll(ctx, scan.bucket, scan.prefix));
   stats->direct_list_calls += 1;
   stats->wall_micros += list_timer.ElapsedMicros();  // listing serializes
+  std::vector<std::string> pred_cols;
+  if (scan.predicate != nullptr) {
+    std::set<std::string> referenced;
+    scan.predicate->CollectColumns(&referenced);
+    pred_cols.assign(referenced.begin(), referenced.end());
+  }
   std::vector<RecordBatch> batches;
   std::vector<SimMicros> file_elapsed;
   for (const ObjectMetadata& obj : listed) {
@@ -471,38 +452,41 @@ Result<RecordBatch> SparkLiteEngine::DirectScan(const ScanSpec& scan,
       continue;
     }
     // Footer-level pruning (the only pruning available without a cache).
-    auto partition = ParseHivePartition(obj.name);
+    CachedFileMeta file;
+    file.file.partition = ParseHivePartition(obj.name);
     if (scan.predicate != nullptr) {
-      auto lookup = [&](const std::string& col) -> const ColumnStats* {
-        for (const auto& [pcol, pval] : partition) {
-          if (pcol == col && !pval.is_null()) {
-            static thread_local ColumnStats scratch;
-            scratch.min = pval;
-            scratch.max = pval;
-            return &scratch;
-          }
-        }
-        int idx = meta->schema->FieldIndex(col);
-        if (idx < 0) return nullptr;
-        static thread_local ColumnStats file_stats;
-        file_stats = meta->FileColumnStats(static_cast<size_t>(idx));
-        return &file_stats;
-      };
-      if (scan.predicate->EvaluatePrune(lookup) ==
-          PruneResult::kCannotMatch) {
+      SetFooterStats(*meta, &file);
+      if (FileCannotMatch(*scan.predicate, file)) {
         ++stats->files_pruned;
         continue;
       }
     }
     ++stats->files_scanned;
-    VectorizedReader reader(&source, *meta);
+    // Spark applies the predicate itself (no trusted enforcement layer): it
+    // reads the projection plus the predicate's stored columns, filters
+    // with hive partition values materialized, then projects.
     std::vector<std::string> cols = scan.columns;
+    if (!cols.empty()) {
+      for (const auto& c : pred_cols) {
+        if (meta->schema->FieldIndex(c) >= 0 &&
+            std::find(cols.begin(), cols.end(), c) == cols.end()) {
+          cols.push_back(c);
+        }
+      }
+    }
+    VectorizedReader reader(&source, *meta);
     for (size_t g = 0; g < reader.num_row_groups(); ++g) {
       BL_ASSIGN_OR_RETURN(RecordBatch b, reader.ReadRowGroup(g, cols));
-      // Spark applies the predicate itself (no trusted enforcement layer).
       if (scan.predicate != nullptr) {
-        auto mask = scan.predicate->Evaluate(b);
-        if (mask.ok()) b = b.Filter(BoolColumnToMask(*mask));
+        BL_ASSIGN_OR_RETURN(
+            RecordBatch with_partition,
+            WithPartitionColumns(b, file.file.partition, pred_cols));
+        BL_ASSIGN_OR_RETURN(Column mask,
+                            scan.predicate->Evaluate(with_partition));
+        b = b.Filter(BoolColumnToMask(mask));
+      }
+      if (cols.size() > scan.columns.size()) {
+        BL_ASSIGN_OR_RETURN(b, b.Project(scan.columns));
       }
       ChargeCpu(b.num_rows() * b.num_columns(), stats);
       batches.push_back(std::move(b));

@@ -49,14 +49,6 @@ struct SparkOptions {
   /// Spark-lite CPU per value: JVM row processing is costlier than the
   /// server-side vectorized pipeline.
   double cpu_micros_per_value = 0.004;
-  /// Route connector scans through the environment's columnar block cache
-  /// (src/cache/). The cache is shared with BigQuery-side scans, so either
-  /// engine's reads warm the other's (the paper's shared caching layer).
-  /// Requires the cache to have capacity (LakehouseEnv::ConfigureBlockCache
-  /// or an engine with enable_block_cache).
-  bool use_block_cache = false;
-  /// Per-stream readahead window for the Read API's prefetching pipeline.
-  uint32_t readahead_depth = 0;
 };
 
 struct SparkQueryStats {
@@ -119,8 +111,9 @@ class SparkLiteEngine {
   /// Governed read through the BigLake connector.
   DataFrame ReadBigLake(std::string table_id);
 
-  /// Ungoverned baseline: read Parquet-lite files directly from the bucket
-  /// (requires the caller to hold bucket credentials out of band).
+  /// Ungoverned baseline kept for bench_spark_acceleration: read
+  /// Parquet-lite files directly from the bucket (requires the caller to
+  /// hold bucket credentials out of band).
   DataFrame ReadParquetDirect(CloudLocation location, std::string bucket,
                               std::string prefix);
 
@@ -146,6 +139,9 @@ class SparkLiteEngine {
   Result<RecordBatch> ConnectorScan(const Principal& principal,
                                     const ScanSpec& scan,
                                     SparkQueryStats* stats);
+  /// The connector's session request for `scan`: projection + predicate
+  /// pushdown, one stream per executor.
+  ReadSessionOptions SessionOptions(const ScanSpec& scan) const;
   /// Reads every stream of a session with wave-based wall accounting.
   Result<RecordBatch> ReadSessionStreams(const ReadSession& session,
                                          SparkQueryStats* stats);

@@ -275,6 +275,18 @@ Result<RecordBatch> VectorizedReader::ReadRowGroup(
   return RecordBatch::Make(MakeSchema(std::move(fields)), std::move(cols));
 }
 
+Result<std::vector<RecordBatch>> ReadAllRowGroups(
+    const RandomAccessSource& source) {
+  BL_ASSIGN_OR_RETURN(ParquetFileMeta meta, ReadParquetFooter(source));
+  VectorizedReader reader(&source, std::move(meta));
+  std::vector<RecordBatch> groups;
+  for (size_t g = 0; g < reader.num_row_groups(); ++g) {
+    BL_ASSIGN_OR_RETURN(RecordBatch b, reader.ReadRowGroup(g));
+    groups.push_back(std::move(b));
+  }
+  return groups;
+}
+
 Result<bool> RowOrientedReader::Next(std::vector<Value>* row) {
   while (true) {
     if (loaded_ == nullptr) {

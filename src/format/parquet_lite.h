@@ -133,6 +133,12 @@ class VectorizedReader {
   ParquetFileMeta meta_;
 };
 
+/// Decodes a whole file: the footer, then every row group with every
+/// column. For internal reads that must see every row (DML rewrites,
+/// replica reads); governed reads go through the Storage Read API.
+Result<std::vector<RecordBatch>> ReadAllRowGroups(
+    const RandomAccessSource& source);
+
 /// Row-oriented reader (the pre-optimization code path of Sec 3.4): yields
 /// boxed rows one at a time; callers that need columnar data must transcode.
 class RowOrientedReader {

@@ -4,6 +4,7 @@
 #include <set>
 
 #include "common/strings.h"
+#include "format/parquet_lite.h"
 
 namespace biglake {
 
@@ -149,6 +150,34 @@ Result<std::vector<CachedFileMeta>> BigMetadataStore::Snapshot(
   return files;
 }
 
+void SetFooterStats(const ParquetFileMeta& footer, CachedFileMeta* f) {
+  f->file.row_count = footer.total_rows;
+  for (size_t c = 0; c < footer.schema->num_fields(); ++c) {
+    f->file.column_stats[footer.schema->field(c).name] =
+        footer.FileColumnStats(c);
+  }
+}
+
+bool FileCannotMatch(const Expr& predicate, const CachedFileMeta& f) {
+  // Stack-local scratch for partition-column pseudo-stats: pointers handed
+  // to EvaluatePrune stay valid for the call only, and no state leaks
+  // across calls or threads.
+  ColumnStats scratch;
+  auto lookup = [&](const std::string& col) -> const ColumnStats* {
+    for (const auto& [pcol, pval] : f.file.partition) {
+      if (pcol == col && !pval.is_null()) {
+        scratch.min = pval;
+        scratch.max = pval;
+        scratch.row_count = f.file.row_count;
+        return &scratch;
+      }
+    }
+    auto it = f.file.column_stats.find(col);
+    return it == f.file.column_stats.end() ? nullptr : &it->second;
+  };
+  return predicate.EvaluatePrune(lookup) == PruneResult::kCannotMatch;
+}
+
 Result<PrunedFiles> BigMetadataStore::PruneFiles(const std::string& table_id,
                                                  const ExprPtr& predicate,
                                                  uint64_t txn) const {
@@ -161,23 +190,7 @@ Result<PrunedFiles> BigMetadataStore::PruneFiles(const std::string& table_id,
     return result;
   }
   for (auto& f : files) {
-    // Per-file stats lookup: partition values become exact-point stats,
-    // regular columns use cached min/max.
-    auto lookup = [&](const std::string& col) -> const ColumnStats* {
-      static thread_local ColumnStats scratch;
-      for (const auto& [pcol, pval] : f.file.partition) {
-        if (pcol == col && !pval.is_null()) {
-          scratch.min = pval;
-          scratch.max = pval;
-          scratch.null_count = 0;
-          scratch.row_count = f.file.row_count;
-          return &scratch;
-        }
-      }
-      auto sit = f.file.column_stats.find(col);
-      return sit == f.file.column_stats.end() ? nullptr : &sit->second;
-    };
-    if (predicate->EvaluatePrune(lookup) == PruneResult::kCannotMatch) {
+    if (FileCannotMatch(*predicate, f)) {
       ++result.pruned;
       continue;
     }

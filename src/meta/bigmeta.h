@@ -43,6 +43,17 @@ struct CachedFileMeta {
   uint64_t generation = 0;
 };
 
+struct ParquetFileMeta;
+
+/// Copies a parsed footer's row count and whole-file column statistics into
+/// `f` — the statistics the metadata cache keeps and pruning reads.
+void SetFooterStats(const ParquetFileMeta& footer, CachedFileMeta* f);
+
+/// Stats pruning for one file: true when `f`'s statistics prove no row can
+/// satisfy `predicate`. Hive partition values act as exact point stats;
+/// stored columns use the file's min/max.
+bool FileCannotMatch(const Expr& predicate, const CachedFileMeta& f);
+
 /// Cost knobs for the simulated metadata service.
 struct BigMetadataOptions {
   /// Latency of a (replicated) tail append — the commit path.

@@ -1,5 +1,6 @@
 #include "meta/metadata_cache.h"
 
+#include <algorithm>
 #include <map>
 
 #include "common/strings.h"
@@ -30,6 +31,35 @@ std::vector<std::pair<std::string, Value>> ParseHivePartition(
     }
   }
   return partition;
+}
+
+Result<RecordBatch> WithPartitionColumns(
+    RecordBatch batch,
+    const std::vector<std::pair<std::string, Value>>& partition,
+    const std::vector<std::string>& referenced) {
+  std::vector<Field> fields(batch.schema()->fields());
+  std::vector<Column> cols;
+  for (size_t c = 0; c < batch.num_columns(); ++c) {
+    cols.push_back(batch.column(c));
+  }
+  bool added = false;
+  for (const auto& [pcol, pval] : partition) {
+    if (batch.schema()->FieldIndex(pcol) >= 0 ||
+        std::find(referenced.begin(), referenced.end(), pcol) ==
+            referenced.end()) {
+      continue;
+    }
+    DataType t = pval.is_int64() ? DataType::kInt64 : DataType::kString;
+    ColumnBuilder builder(t);
+    for (size_t r = 0; r < batch.num_rows(); ++r) {
+      BL_RETURN_NOT_OK(builder.AppendValue(pval));
+    }
+    fields.push_back({pcol, t, false});
+    cols.push_back(builder.Finish());
+    added = true;
+  }
+  if (!added) return batch;
+  return RecordBatch(MakeSchema(std::move(fields)), std::move(cols));
 }
 
 Result<CacheRefreshReport> MetadataCacheManager::Refresh(
@@ -103,11 +133,7 @@ Result<CacheRefreshReport> MetadataCacheManager::RefreshOnce(
       // silently degrade pruning until the next refresh.
       if (!meta.ok() && IsRetryable(meta.status())) return meta.status();
       if (meta.ok()) {
-        entry.file.row_count = meta->total_rows;
-        for (size_t c = 0; c < meta->schema->num_fields(); ++c) {
-          entry.file.column_stats[meta->schema->field(c).name] =
-              meta->FileColumnStats(c);
-        }
+        SetFooterStats(*meta, &entry);
       }
       // Non-Parquet files are still cached (without stats) so listings
       // stay complete; engines will treat them as unprunable.

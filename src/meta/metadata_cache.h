@@ -20,6 +20,7 @@
 #include <string>
 #include <vector>
 
+#include "columnar/batch.h"
 #include "fault/retry.h"
 #include "meta/bigmeta.h"
 #include "objstore/objstore.h"
@@ -55,6 +56,14 @@ struct CacheRefreshReport {
 /// a decimal number, strings otherwise).
 std::vector<std::pair<std::string, Value>> ParseHivePartition(
     const std::string& path);
+
+/// Appends each hive partition value named in `referenced` (and not stored
+/// in `batch`) as a constant virtual column, so predicates and row filters
+/// can mention partition columns the data files do not hold.
+Result<RecordBatch> WithPartitionColumns(
+    RecordBatch batch,
+    const std::vector<std::pair<std::string, Value>>& partition,
+    const std::vector<std::string>& referenced);
 
 class MetadataCacheManager {
  public:

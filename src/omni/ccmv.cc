@@ -202,12 +202,9 @@ Result<RecordBatch> CcmvService::QueryReplica(const Principal& principal,
                                      state.replica_object));
     ObjectSource source_obj(target, ctx, view.def.target_bucket,
                             state.replica_object, meta.size);
-    BL_ASSIGN_OR_RETURN(ParquetFileMeta pmeta, ReadParquetFooter(source_obj));
-    VectorizedReader reader(&source_obj, pmeta);
-    for (size_t g = 0; g < reader.num_row_groups(); ++g) {
-      BL_ASSIGN_OR_RETURN(RecordBatch b, reader.ReadRowGroup(g));
-      pieces.push_back(std::move(b));
-    }
+    BL_ASSIGN_OR_RETURN(std::vector<RecordBatch> groups,
+                        ReadAllRowGroups(source_obj));
+    for (RecordBatch& b : groups) pieces.push_back(std::move(b));
   }
   if (pieces.empty()) {
     return Status::NotFound(StrCat("CCMV `", name, "` has no replica data"));

@@ -329,6 +329,31 @@ TEST_F(ExprKernelsEngineTest, KernelsOnOffRowIdentical) {
   plans.push_back(Plan::Filter(
       Plan::Scan("ds.sales"),
       Expr::Lt(Expr::Col("qty"), Expr::Lit(Value::Int64(-1)))));
+  // A governed table: a row filter that also names the hive partition
+  // column, plus kHash and kNullify masks, so the fused and boxed read
+  // paths are compared through the shared govern step.
+  BuildLake("gov/", 4, 200);
+  TableDef gov = MakeBigLakeDef("gov", "gov/");
+  RowAccessPolicy policy;
+  policy.name = "not_north_early_dates";
+  policy.grantees = {"u"};
+  policy.filter = Expr::And(
+      Expr::Ne(Expr::Col("region"), Expr::Lit(Value::String("north"))),
+      Expr::Le(Expr::Col("date"), Expr::Lit(Value::Int64(2))));
+  gov.policy.row_policies = {policy};
+  gov.policy.column_rules["email"] = {{"user:admin"}, false, MaskType::kHash};
+  gov.policy.column_rules["price"] = {
+      {"user:admin"}, false, MaskType::kNullify};
+  ASSERT_TRUE(biglake_.CreateBigLakeTable(gov).ok());
+  plans.push_back(Plan::Scan("ds.gov"));
+  plans.push_back(Plan::Filter(
+      Plan::Scan("ds.gov"),
+      Expr::Lt(Expr::Col("qty"), Expr::Lit(Value::Int64(50)))));
+  plans.push_back(Plan::Aggregate(
+      Plan::Filter(Plan::Scan("ds.gov"),
+                   Expr::Gt(Expr::Col("qty"), Expr::Lit(Value::Int64(20)))),
+      {"region"},
+      {{AggOp::kCount, "", "n"}, {AggOp::kMax, "email", "top"}}));
 
   for (size_t p = 0; p < plans.size(); ++p) {
     SCOPED_TRACE("plan " + std::to_string(p));
@@ -343,6 +368,28 @@ TEST_F(ExprKernelsEngineTest, KernelsOnOffRowIdentical) {
     EXPECT_EQ(SerializeBatch(r_on->batch), SerializeBatch(r_off->batch));
     EXPECT_EQ(r_on->stats.rows_returned, r_off->stats.rows_returned);
   }
+
+  // A pushdown partial aggregate over the governed table, read straight
+  // from the Read API with kernels on and off.
+  std::vector<std::string> partials[2];
+  for (int k = 0; k < 2; ++k) {
+    ReadSessionOptions opts;
+    opts.predicate = Expr::Gt(Expr::Col("qty"), Expr::Lit(Value::Int64(10)));
+    opts.aggregate_group_by = {"region"};
+    opts.partial_aggregates = {{AggOp::kCount, "", "n"},
+                               {AggOp::kSum, "qty", "q"},
+                               {AggOp::kMax, "email", "top"}};
+    opts.use_vectorized_kernels = k == 0;
+    auto session = api_.CreateReadSession("u", "ds.gov", opts);
+    ASSERT_TRUE(session.ok()) << session.status().ToString();
+    for (size_t s = 0; s < session->streams.size(); ++s) {
+      auto batch = api_.ReadStreamBatch(*session, s);
+      ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+      partials[k].push_back(SerializeBatch(*batch));
+    }
+  }
+  ASSERT_FALSE(partials[0].empty());
+  EXPECT_EQ(partials[0], partials[1]);
 }
 
 TEST_F(ExprKernelsEngineTest, JoinOverFilteredInputsRowIdentical) {

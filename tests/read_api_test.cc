@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "columnar/ipc.h"
 #include "core/read_api.h"
 #include "lakehouse_fixture.h"
@@ -371,6 +373,77 @@ TEST_F(ReadApiTest, ReadRowsOnBogusSessionOrStream) {
   ReadSession fake = *session;
   fake.session_id = "rs-999";
   EXPECT_TRUE(api_.ReadRows(fake, 0).status().IsNotFound());
+}
+
+// A handle is bound to the StorageReadApi that issued it. A second instance
+// over the same environment numbers its sessions from the same "rs-1", so
+// it must refuse the foreign handle rather than serve it under its own
+// session's governance.
+TEST_F(ReadApiTest, ForeignInstanceHandleIsRefused) {
+  BuildLake("gov/", 4, 50);
+  TableDef def = MakeBigLakeDef("gov", "gov/");
+  RowAccessPolicy east;
+  east.name = "east";
+  east.grantees = {"user:alice"};
+  east.filter = Expr::Eq(Expr::Col("region"), Expr::Lit(Value::String("east")));
+  RowAccessPolicy all;
+  all.name = "all";
+  all.grantees = {"user:admin"};
+  all.filter = Expr::Ge(Expr::Col("qty"), Expr::Lit(Value::Int64(0)));
+  def.policy.row_policies = {east, all};
+  ASSERT_TRUE(biglake_.CreateBigLakeTable(def).ok());
+
+  StorageReadApi other(&lake_);
+  auto alice = api_.CreateReadSession("user:alice", "ds.gov", {});
+  auto admin = other.CreateReadSession("user:admin", "ds.gov", {});
+  ASSERT_TRUE(alice.ok());
+  ASSERT_TRUE(admin.ok());
+  ASSERT_EQ(alice->session_id, admin->session_id);
+  EXPECT_TRUE(other.ReadStreamBatch(*alice, 0).status().IsNotFound());
+  EXPECT_TRUE(other.ReadRows(*alice, 0).status().IsNotFound());
+  EXPECT_TRUE(
+      other.RefineSession(*alice, Expr::IsNull(Expr::Col("id")))
+          .status()
+          .IsNotFound());
+  EXPECT_TRUE(api_.ReadStreamBatch(ReadSession{}, 0).status().IsNotFound());
+
+  // The issuer still serves the handle, under alice's row policy.
+  size_t rows = 0;
+  for (size_t s = 0; s < alice->streams.size(); ++s) {
+    auto batch = api_.ReadStreamBatch(*alice, s);
+    ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+    int region = batch->schema()->FieldIndex("region");
+    ASSERT_GE(region, 0);
+    for (size_t r = 0; r < batch->num_rows(); ++r) {
+      EXPECT_EQ(batch->GetValue(r, static_cast<size_t>(region)),
+                Value::String("east"));
+    }
+    rows += batch->num_rows();
+  }
+  EXPECT_GT(rows, 0u);
+  EXPECT_LT(rows, 200u);
+}
+
+// A refined session owns its own state: it stays readable after the session
+// it narrowed (and every copy of it) is gone.
+TEST_F(ReadApiTest, RefinedSessionOutlivesItsBase) {
+  CreateLakeTable("sales", 4, 50);
+  std::optional<ReadSession> refined;
+  {
+    auto base = api_.CreateReadSession("u", "ds.sales", {});
+    ASSERT_TRUE(base.ok());
+    auto narrowed = api_.RefineSession(
+        *base, Expr::Eq(Expr::Col("date"), Expr::Lit(Value::Int64(2))));
+    ASSERT_TRUE(narrowed.ok());
+    refined = std::move(narrowed).value();
+  }
+  size_t rows = 0;
+  for (size_t s = 0; s < refined->streams.size(); ++s) {
+    auto batch = api_.ReadStreamBatch(*refined, s);
+    ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+    rows += batch->num_rows();
+  }
+  EXPECT_EQ(rows, 50u);
 }
 
 }  // namespace

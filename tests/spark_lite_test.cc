@@ -216,6 +216,51 @@ TEST_F(SparkLiteTest, DirectScanPrunesWithFooterStatsOnly) {
   EXPECT_EQ(result->stats.files_pruned, 5u);
 }
 
+// Direct scans filter before they project: a predicate on a column outside
+// the projection still filters (hive partition columns included), and a
+// predicate on an unknown column fails instead of returning unfiltered rows.
+TEST_F(SparkLiteTest, DirectScanFiltersOnColumnsOutsideProjection) {
+  std::string prefix = "dproj/";
+  BuildLake(prefix, 3, 50);
+  SparkLiteEngine spark = MakeSpark();
+  ExprPtr low_qty = Expr::Lt(Expr::Col("qty"), Expr::Lit(Value::Int64(15)));
+  auto full =
+      spark.ReadParquetDirect(gcp_, "lake", prefix).Filter(low_qty).Collect(
+          "u");
+  ASSERT_TRUE(full.ok()) << full.status().ToString();
+  ASSERT_GT(full->batch.num_rows(), 0u);
+  ASSERT_LT(full->batch.num_rows(), 150u);
+
+  auto projected = spark.ReadParquetDirect(gcp_, "lake", prefix)
+                       .Select({"id"})
+                       .Filter(low_qty)
+                       .Collect("u");
+  ASSERT_TRUE(projected.ok()) << projected.status().ToString();
+  ASSERT_EQ(projected->batch.num_columns(), 1u);
+  ASSERT_EQ(projected->batch.num_rows(), full->batch.num_rows());
+  int id = full->batch.schema()->FieldIndex("id");
+  ASSERT_GE(id, 0);
+  for (size_t r = 0; r < full->batch.num_rows(); ++r) {
+    EXPECT_EQ(projected->batch.GetValue(r, 0),
+              full->batch.GetValue(r, static_cast<size_t>(id)));
+  }
+
+  auto by_date = spark.ReadParquetDirect(gcp_, "lake", prefix)
+                     .Select({"id"})
+                     .Filter(Expr::Eq(Expr::Col("date"),
+                                      Expr::Lit(Value::Int64(1))))
+                     .Collect("u");
+  ASSERT_TRUE(by_date.ok()) << by_date.status().ToString();
+  EXPECT_EQ(by_date->batch.num_rows(), 50u);
+
+  EXPECT_FALSE(spark.ReadParquetDirect(gcp_, "lake", prefix)
+                   .Select({"id"})
+                   .Filter(Expr::Lt(Expr::Col("nope"),
+                                    Expr::Lit(Value::Int64(15))))
+                   .Collect("u")
+                   .ok());
+}
+
 TEST_F(SparkLiteTest, DirectScanErrorsWithoutFiles) {
   SparkLiteEngine spark = MakeSpark();
   EXPECT_FALSE(
