@@ -83,16 +83,25 @@ do_chaos() {
   done
 }
 
-# Result-cache suite (`ctest -L resultcache`), plain and under TSan: key
-# canonicality, every-commit-path invalidation, and worker-count-independent
-# hit accounting (a racy hit path shows up as a determinism diff here).
+# Cache suite, plain and under TSan: the result-cache and cache-core tests
+# (`ctest -L resultcache`: key canonicality, every-commit-path invalidation,
+# worker-count-independent hit accounting, pinned-bytes gauge balance) plus
+# the block-cache and cache-determinism binaries. Both caches run on one
+# shared core (src/cache/cache_core.h), so a race or a determinism diff in
+# it shows up here whichever cache trips it.
 do_resultcache() {
   for dir in build build-tsan; do
     if [[ ! -d "$ROOT/$dir" ]]; then
       echo "resultcache: $dir/ missing — run the plain/tsan stage first" >&2
       exit 1
     fi
+    cmake --build "$ROOT/$dir" -j "$JOBS" \
+      --target result_cache_test cache_core_test block_cache_test \
+      cache_determinism_test
     ctest --test-dir "$ROOT/$dir" -L resultcache --output-on-failure
+    for t in block_cache_test cache_determinism_test; do
+      "$ROOT/$dir/tests/$t"
+    done
   done
 }
 

@@ -25,9 +25,11 @@
 //      so recency order is identical whether the ops were buffered by eight
 //      workers or executed inline by one.
 //
-// Eviction is sharded LRU: keys hash to a shard, each shard owns
-// capacity/shard_count bytes and evicts its least-recently-used entry while
-// over budget. An entry is only ever admitted whole (the Read API refuses to
+// The storage itself -- sharding, logical-stamp recency, LRU/TinyLFU
+// eviction, byte accounting, Clear and Stats -- is the shared cache core
+// (cache/cache_core.h). On top of it this file adds the key helpers, the
+// CacheTxn buffering and folding above, and block/footer hit and miss
+// counting. An entry is only ever admitted whole (the Read API refuses to
 // admit blocks whose object reads did not all observe the expected
 // generation, so a faulted or concurrently-rewritten read never poisons the
 // cache).
@@ -35,42 +37,23 @@
 #ifndef BIGLAKE_CACHE_BLOCK_CACHE_H_
 #define BIGLAKE_CACHE_BLOCK_CACHE_H_
 
-#include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <span>
 #include <string>
 #include <vector>
 
-#include "cache/admission.h"
+#include "cache/cache_core.h"
 #include "columnar/batch.h"
 #include "common/sim_env.h"
 #include "format/parquet_lite.h"
 
 namespace biglake {
-namespace obs {
-class Counter;
-class Gauge;
-}  // namespace obs
-
 namespace cache {
 
-struct BlockCacheOptions {
-  /// Total decoded bytes the cache may pin. 0 disables the cache entirely
-  /// (the default: existing configurations see no behavior change).
-  uint64_t capacity_bytes = 0;
-  /// Number of independently-locked LRU shards.
-  uint32_t shard_count = 8;
-  /// Victim selection / admission gating (see cache/admission.h). kLru is
-  /// the original recency-only behavior; kTinyLfu evicts by lowest
-  /// frequency-per-byte and rejects cold candidates outright.
-  AdmissionPolicy admission_policy = AdmissionPolicy::kLru;
-  /// TinyLFU sketch sizing hint: distinct entries to track. 0 = derive from
-  /// capacity (one slot per 64 KiB, min 1024).
-  uint64_t sketch_entries = 0;
-};
+using BlockCacheOptions = CacheOptions;
+using BlockCacheStats = CacheStats;
 
 /// Order-insensitive fingerprint of a projection (the set of columns a block
 /// was decoded with); part of the block key so different projections of the
@@ -98,17 +81,10 @@ std::string FooterKey(const std::string& object_prefix, uint64_t generation);
 std::string BlockKey(const std::string& object_prefix, uint64_t generation,
                      size_t row_group, uint64_t projection_fp);
 
-/// Point-in-time totals (serial-context reads; used by tests and benches).
-struct BlockCacheStats {
-  uint64_t entries = 0;
-  uint64_t bytes_pinned = 0;
-  uint64_t hits = 0;
-  uint64_t misses = 0;
-  uint64_t evictions = 0;
-  uint64_t invalidations = 0;
-  /// Candidates turned away (or immediately reclaimed) by TinyLFU admission
-  /// because a resident entry had a higher frequency-per-byte score.
-  uint64_t admission_rejections = 0;
+/// One cached value: a decoded block or a parsed footer (never both).
+struct BlockCacheValue {
+  std::shared_ptr<const RecordBatch> block;
+  std::shared_ptr<const ParquetFileMeta> footer;
 };
 
 class BlockCache;
@@ -123,14 +99,17 @@ class CacheTxn {
   friend class BlockCache;
   struct Op {
     std::string key;
-    // Insert when either value is set; pure LRU touch otherwise.
-    std::shared_ptr<const RecordBatch> block;
-    std::shared_ptr<const ParquetFileMeta> footer;
+    // An insert when a value is set; a pure LRU touch otherwise.
+    BlockCacheValue value;
     uint64_t bytes = 0;
     // Frequency-only op: a miss observed under TinyLFU. Applied it bumps
     // the sketch but never touches the LRU or entry maps, so frequency
     // updates fold in the same deterministic slot order as inserts.
     bool access_only = false;
+
+    bool is_insert() const {
+      return value.block != nullptr || value.footer != nullptr;
+    }
   };
   std::vector<Op> ops_;
   /// key -> index into ops_ of the latest pending *insert*, for
@@ -169,8 +148,7 @@ class BlockCache {
   /// (Re)configures capacity, evicting down to the new budget. Serial
   /// context only — never inside a parallel region.
   void Configure(const BlockCacheOptions& options);
-  bool enabled() const { return capacity_ > 0; }
-  uint64_t capacity_bytes() const { return capacity_; }
+  bool enabled() const { return core_.enabled(); }
 
   /// Fraction of capacity currently pinned, in [0, 1] (0 when disabled).
   /// Serial context only — the scheduler polls this at admission as its
@@ -211,57 +189,26 @@ class BlockCache {
   BlockCacheStats Stats() const;
 
  private:
-  struct Entry {
-    std::shared_ptr<const RecordBatch> block;
-    std::shared_ptr<const ParquetFileMeta> footer;
-    uint64_t bytes = 0;
-    uint64_t stamp = 0;
-  };
-  struct Shard {
-    mutable std::mutex mu;
-    std::map<std::string, Entry> entries;
-    std::map<uint64_t, std::string> lru;  // stamp -> key
-    uint64_t bytes_used = 0;
-  };
-
-  Shard& ShardFor(const std::string& key);
+  /// The one lookup behind GetBlock and GetFooter: the task's own pending
+  /// insert first, then the shared state.
+  template <typename T>
+  std::shared_ptr<const T> Get(const std::string& key,
+                               std::shared_ptr<const T> BlockCacheValue::*field);
+  /// The one insert behind PutBlock and PutFooter.
+  void Put(const std::string& key, BlockCacheValue value, uint64_t bytes);
   void ApplyOp(CacheTxn::Op& op);
-  void ApplyInsert(const std::string& key, Entry entry);
-  void ApplyTouch(const std::string& key);
-  void EvictOverflow(Shard& shard);
-  /// TinyLFU overflow handling: repeatedly evicts the entry with the lowest
-  /// frequency-per-byte (ties broken oldest-stamp-first). Evicting the
-  /// just-inserted `candidate` itself counts as an admission rejection.
-  void EvictByFrequency(Shard& shard, const std::string& candidate);
   /// Buffers (or directly applies) one frequency observation for `key`.
-  void RecordAccess(const std::string& key);
-  void CountHit(bool footer);
-  void CountMiss(bool footer);
+  void RecordAccess(CacheTxn* txn, const std::string& key);
+  void CountLookup(bool hit, bool footer);
 
   SimEnv* env_;
-  // Instance-local totals (the obs counters are process-global and mix
-  // every LakehouseEnv in a test binary). Atomics: hits/misses are counted
-  // from pool workers.
-  std::atomic<uint64_t> hit_count_{0};
-  std::atomic<uint64_t> miss_count_{0};
-  uint64_t eviction_count_ = 0;      // mutated at serial apply points only
-  uint64_t invalidation_count_ = 0;  // serial
-  uint64_t admission_rejection_count_ = 0;  // serial
-  uint64_t capacity_ = 0;
-  uint64_t per_shard_capacity_ = 0;
-  uint64_t seq_ = 0;  // logical recency clock; mutated at serial points only
-  AdmissionPolicy policy_ = AdmissionPolicy::kLru;
-  FrequencySketch sketch_;  // mutated at serial apply points only
-  std::vector<std::unique_ptr<Shard>> shards_;
-
+  // Every method that reaches the core, but enabled(), is defined in
+  // block_cache.cc, so includers do not each compile a copy of the core.
+  CacheCore<BlockCacheValue> core_;
   obs::Counter* hits_block_;
   obs::Counter* hits_footer_;
   obs::Counter* misses_block_;
   obs::Counter* misses_footer_;
-  obs::Counter* evictions_;
-  obs::Counter* invalidations_;
-  obs::Counter* admission_rejections_;
-  obs::Gauge* bytes_pinned_;
 };
 
 }  // namespace cache

@@ -8,87 +8,53 @@
 namespace biglake {
 namespace cache {
 
-ResultCache::ResultCache(SimEnv* env) : env_(env) {
+namespace {
+CacheMetrics ResultCacheMetrics() {
+  auto& reg = obs::MetricsRegistry::Default();
+  return {"resultcache.", reg.GetCounter(METRIC_RESULTCACHE_EVICTIONS),
+          reg.GetCounter(METRIC_RESULTCACHE_INVALIDATIONS),
+          reg.GetCounter(METRIC_CACHE_ADMISSION_REJECTED, {{"cache", "result"}}),
+          reg.GetGauge(METRIC_RESULTCACHE_BYTES_PINNED)};
+}
+}  // namespace
+
+ResultCache::ResultCache(SimEnv* env)
+    : env_(env), core_(env, ResultCacheMetrics()) {
   auto& reg = obs::MetricsRegistry::Default();
   hits_ = reg.GetCounter(METRIC_RESULTCACHE_HITS);
   misses_ = reg.GetCounter(METRIC_RESULTCACHE_MISSES);
   inserts_ = reg.GetCounter(METRIC_RESULTCACHE_INSERTS);
-  evictions_ = reg.GetCounter(METRIC_RESULTCACHE_EVICTIONS);
-  invalidations_ = reg.GetCounter(METRIC_RESULTCACHE_INVALIDATIONS);
-  admission_rejections_ =
-      reg.GetCounter(METRIC_CACHE_ADMISSION_REJECTED, {{"cache", "result"}});
-  bytes_pinned_ = reg.GetGauge(METRIC_RESULTCACHE_BYTES_PINNED);
-  shards_.resize(8);
-  for (auto& s : shards_) s = std::make_unique<Shard>();
 }
 
-ResultCache::~ResultCache() {
-  // Return pinned bytes so the process-global gauge stays meaningful across
-  // env lifetimes in one test binary.
-  for (auto& s : shards_) {
-    bytes_pinned_->Add(-static_cast<int64_t>(s->bytes_used));
-  }
-}
+ResultCache::~ResultCache() = default;
 
 void ResultCache::Configure(const ResultCacheOptions& options) {
-  uint32_t shard_count = std::max<uint32_t>(1, options.shard_count);
-  if (shard_count != shards_.size()) {
-    Clear();
-    shards_.resize(shard_count);
-    for (auto& s : shards_) {
-      if (s == nullptr) s = std::make_unique<Shard>();
-    }
-  }
-  options_ = options;
-  options_.shard_count = shard_count;
-  per_shard_capacity_ = options_.capacity_bytes / shards_.size();
-  if (options_.admission_policy == AdmissionPolicy::kTinyLfu) {
-    uint64_t entries = options_.sketch_entries;
-    if (entries == 0) entries = options_.capacity_bytes / (64ull << 10);
-    sketch_.Reset(entries);
-  }
-  for (auto& s : shards_) EvictOverflow(*s);
+  core_.Configure(options);
 }
 
-ResultCache::Shard& ResultCache::ShardFor(const std::string& key) {
-  return *shards_[KeyHash(key) % shards_.size()];
-}
+void ResultCache::Clear() { core_.Clear(); }
+
+ResultCacheStats ResultCache::Stats() const { return core_.Stats(); }
 
 std::shared_ptr<const RecordBatch> ResultCache::Get(const std::string& key) {
   if (!enabled()) return nullptr;
-  env_->Charge("resultcache.probes", options_.probe_latency);
-  std::shared_ptr<const RecordBatch> found;
-  Shard& shard = ShardFor(key);
-  {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    auto it = shard.entries.find(key);
-    if (it != shard.entries.end()) {
-      found = it->second.batch;
-      shard.lru.erase(it->second.stamp);
-      it->second.stamp = ++seq_;
-      shard.lru[it->second.stamp] = key;
-    }
-  }
-  if (options_.admission_policy == AdmissionPolicy::kTinyLfu) {
-    sketch_.Increment(KeyHash(key));
-  }
+  env_->Charge("resultcache.probes", kProbeMicros);
+  std::shared_ptr<const RecordBatch> found =
+      core_.Find(key, &Value::batch, /*touch=*/true);
+  core_.RecordAccess(key);
+  core_.CountLookup(found != nullptr);
   if (found == nullptr) {
-    miss_count_.fetch_add(1, std::memory_order_relaxed);
     misses_->Increment();
     env_->counters().Add("resultcache.misses", 1);
     return nullptr;
   }
-  hit_count_.fetch_add(1, std::memory_order_relaxed);
   hits_->Increment();
   env_->counters().Add("resultcache.hits", 1);
   // Deterministic replay cost: serving N rows from the cache is O(N) serial
-  // virtual time, independent of the engine's worker count. Fractional
-  // per-row micros carry over so small results are not silently free.
-  serve_carry_ +=
-      options_.hit_micros_per_row * static_cast<double>(found->num_rows());
-  auto carry = static_cast<SimMicros>(serve_carry_);
-  serve_carry_ -= static_cast<double>(carry);
-  env_->Charge("resultcache.serve", options_.hit_base_latency + carry);
+  // virtual time, independent of the engine's worker count.
+  const uint64_t rows = found->num_rows();
+  const SimMicros replay = (rows + kHitRowsPerMicro / 2) / kHitRowsPerMicro;
+  env_->Charge("resultcache.serve", kHitBaseMicros + replay);
   return found;
 }
 
@@ -96,144 +62,20 @@ void ResultCache::Put(const std::string& key,
                       const std::vector<std::string>& tables,
                       std::shared_ptr<const RecordBatch> batch) {
   if (!enabled() || batch == nullptr) return;
-  Shard& shard = ShardFor(key);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  auto it = shard.entries.find(key);
-  if (it != shard.entries.end()) {
-    // Re-insert of a live key (e.g. cache warmed between probe and insert):
-    // refresh recency, keep the resident value.
-    shard.lru.erase(it->second.stamp);
-    it->second.stamp = ++seq_;
-    shard.lru[it->second.stamp] = key;
-    return;
-  }
-  Entry entry;
-  entry.bytes = batch->MemoryBytes();
-  entry.batch = std::move(batch);
-  entry.tables = tables;
-  entry.stamp = ++seq_;
-  shard.bytes_used += entry.bytes;
-  bytes_pinned_->Add(static_cast<int64_t>(entry.bytes));
-  shard.lru[entry.stamp] = key;
-  for (const std::string& t : entry.tables) shard.by_table[t].insert(key);
-  shard.entries.emplace(key, std::move(entry));
-  ++insert_count_;
-  inserts_->Increment();
-  env_->counters().Add("resultcache.inserts", 1);
-  if (options_.admission_policy == AdmissionPolicy::kTinyLfu) {
-    EvictByFrequency(shard, key);
-  } else {
-    EvictOverflow(shard);
-  }
-}
-
-std::map<std::string, ResultCache::Entry>::iterator ResultCache::Remove(
-    Shard& shard, std::map<std::string, Entry>::iterator it) {
-  shard.bytes_used -= it->second.bytes;
-  bytes_pinned_->Add(-static_cast<int64_t>(it->second.bytes));
-  shard.lru.erase(it->second.stamp);
-  for (const std::string& t : it->second.tables) {
-    auto bit = shard.by_table.find(t);
-    if (bit == shard.by_table.end()) continue;
-    bit->second.erase(it->first);
-    if (bit->second.empty()) shard.by_table.erase(bit);
-  }
-  return shard.entries.erase(it);
-}
-
-void ResultCache::EvictOverflow(Shard& shard) {
-  while (shard.bytes_used > per_shard_capacity_ && !shard.lru.empty()) {
-    auto oldest = shard.lru.begin();
-    Remove(shard, shard.entries.find(oldest->second));
-    ++eviction_count_;
-    evictions_->Increment();
-    env_->counters().Add("resultcache.evictions", 1);
-  }
-}
-
-void ResultCache::EvictByFrequency(Shard& shard,
-                                   const std::string& candidate) {
-  while (shard.bytes_used > per_shard_capacity_ && !shard.entries.empty()) {
-    // Same scoring as BlockCache::EvictByFrequency: lowest frequency/byte
-    // loses (integer cross-multiplication), oldest stamp breaks ties.
-    auto victim = shard.entries.begin();
-    uint64_t victim_freq = sketch_.Estimate(KeyHash(victim->first));
-    for (auto it = std::next(shard.entries.begin());
-         it != shard.entries.end(); ++it) {
-      uint64_t freq = sketch_.Estimate(KeyHash(it->first));
-      uint64_t lhs = freq * victim->second.bytes;
-      uint64_t rhs = victim_freq * it->second.bytes;
-      if (lhs < rhs ||
-          (lhs == rhs && it->second.stamp < victim->second.stamp)) {
-        victim = it;
-        victim_freq = freq;
-      }
-    }
-    const bool rejected_candidate = victim->first == candidate;
-    Remove(shard, victim);
-    if (rejected_candidate) {
-      ++admission_rejection_count_;
-      admission_rejections_->Increment();
-      env_->counters().Add("resultcache.admission_rejected", 1);
-    } else {
-      ++eviction_count_;
-      evictions_->Increment();
-      env_->counters().Add("resultcache.evictions", 1);
-    }
+  const uint64_t bytes = batch->MemoryBytes();
+  // A re-insert of a live key (e.g. cache warmed between probe and insert)
+  // only refreshes recency.
+  if (core_.Insert(key, Value{std::move(batch), tables}, bytes)) {
+    inserts_->Increment();
+    env_->counters().Add("resultcache.inserts", 1);
   }
 }
 
 uint64_t ResultCache::InvalidateTable(const std::string& table_id) {
-  uint64_t dropped = 0;
-  for (auto& shard_ptr : shards_) {
-    Shard& shard = *shard_ptr;
-    std::lock_guard<std::mutex> lock(shard.mu);
-    auto bit = shard.by_table.find(table_id);
-    if (bit == shard.by_table.end()) continue;
-    // Copy: Remove() edits by_table under us.
-    std::set<std::string> keys = bit->second;
-    for (const std::string& key : keys) {
-      auto it = shard.entries.find(key);
-      if (it == shard.entries.end()) continue;
-      Remove(shard, it);
-      ++dropped;
-    }
-  }
-  if (dropped > 0) {
-    invalidation_count_ += dropped;
-    invalidations_->Add(dropped);
-    env_->counters().Add("resultcache.invalidations", dropped);
-  }
-  return dropped;
-}
-
-void ResultCache::Clear() {
-  for (auto& shard_ptr : shards_) {
-    if (shard_ptr == nullptr) continue;
-    Shard& shard = *shard_ptr;
-    std::lock_guard<std::mutex> lock(shard.mu);
-    bytes_pinned_->Add(-static_cast<int64_t>(shard.bytes_used));
-    shard.entries.clear();
-    shard.lru.clear();
-    shard.by_table.clear();
-    shard.bytes_used = 0;
-  }
-}
-
-ResultCacheStats ResultCache::Stats() const {
-  ResultCacheStats out;
-  out.hits = hit_count_.load(std::memory_order_relaxed);
-  out.misses = miss_count_.load(std::memory_order_relaxed);
-  out.inserts = insert_count_;
-  out.evictions = eviction_count_;
-  out.invalidations = invalidation_count_;
-  out.admission_rejections = admission_rejection_count_;
-  for (const auto& shard_ptr : shards_) {
-    std::lock_guard<std::mutex> lock(shard_ptr->mu);
-    out.entries += shard_ptr->entries.size();
-    out.bytes_pinned += shard_ptr->bytes_used;
-  }
-  return out;
+  return core_.Invalidate("", [&](const Value& v) {
+    return std::find(v.tables.begin(), v.tables.end(), table_id) !=
+           v.tables.end();
+  });
 }
 
 }  // namespace cache

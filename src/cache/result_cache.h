@@ -12,77 +12,52 @@
 // entries become unreachable by construction — correctness never depends on
 // eager invalidation. `InvalidateTable` (wired next to the block cache's
 // `InvalidateObject` calls in the Write API and BLMT) additionally reclaims
-// the dead bytes the moment a commit lands; each shard keeps a
-// table-id -> keys index so the sweep is exact.
+// the dead bytes the moment a commit lands; it drops exactly the entries
+// whose stored table list names the table.
 //
 // Determinism. Probe (Get) and insert (Put) happen only at the serial
 // entry/exit of QueryEngine::Execute — never inside a parallel region — so
 // unlike the block cache no transaction buffering is needed. All simulated
 // costs charged here (probe latency, per-row hit replay) are independent of
-// the engine's worker count, and LRU recency is a logical sequence number,
+// the engine's worker count and of earlier hits, and LRU recency is a logical sequence number,
 // so hit/miss counters, eviction decisions and the virtual clock stay
 // bit-identical across 1/2/8 workers.
 //
-// Eviction follows `admission_policy` exactly like the block cache: plain
-// sharded LRU, or TinyLFU frequency-per-byte victim selection with
-// admission gating (cache/admission.h).
+// The storage -- sharding, logical-stamp recency, LRU/TinyLFU eviction
+// and admission, byte accounting, Clear and Stats -- is the shared cache
+// core (cache/cache_core.h), the same one the block cache runs on. This
+// file adds the probe and hit charges and each entry's table dependencies,
+// which `InvalidateTable` matches against.
 
 #ifndef BIGLAKE_CACHE_RESULT_CACHE_H_
 #define BIGLAKE_CACHE_RESULT_CACHE_H_
 
-#include <atomic>
 #include <cstdint>
-#include <map>
 #include <memory>
-#include <mutex>
-#include <set>
 #include <string>
 #include <vector>
 
-#include "cache/admission.h"
+#include "cache/cache_core.h"
 #include "columnar/batch.h"
 #include "common/sim_env.h"
 
 namespace biglake {
-namespace obs {
-class Counter;
-class Gauge;
-}  // namespace obs
-
 namespace cache {
 
-struct ResultCacheOptions {
-  /// Total result bytes the cache may pin. 0 disables the cache entirely.
-  uint64_t capacity_bytes = 0;
-  /// Number of shards (key-hash partitioned, like the block cache).
-  uint32_t shard_count = 8;
-  /// Victim selection / admission gating (see cache/admission.h).
-  AdmissionPolicy admission_policy = AdmissionPolicy::kLru;
-  /// TinyLFU sketch sizing hint: distinct entries to track. 0 = derive from
-  /// capacity (one slot per 64 KiB, min 1024).
-  uint64_t sketch_entries = 0;
-  /// Simulated cost of one probe (charged on every Get, hit or miss).
-  SimMicros probe_latency = 25;
-  /// Simulated cost of serving a hit: base + per-row replay of the cached
-  /// batch into the caller's result. Worker-count independent by design.
-  SimMicros hit_base_latency = 50;
-  double hit_micros_per_row = 0.05;
-};
-
-/// Point-in-time totals (serial-context reads; tests and benches).
-struct ResultCacheStats {
-  uint64_t entries = 0;
-  uint64_t bytes_pinned = 0;
-  uint64_t hits = 0;
-  uint64_t misses = 0;
-  uint64_t inserts = 0;
-  uint64_t evictions = 0;
-  uint64_t invalidations = 0;
-  uint64_t admission_rejections = 0;
-};
+using ResultCacheOptions = CacheOptions;
+using ResultCacheStats = CacheStats;
 
 class ResultCache {
  public:
+  /// Simulated cost of one probe, charged on every Get, hit or miss.
+  static constexpr SimMicros kProbeMicros = 25;
+  /// Simulated cost of serving a hit: kHitBaseMicros plus one micro per
+  /// kHitRowsPerMicro rows of the cached batch (0.05 us/row), rounded to
+  /// the nearest micro. A pure function of the row count, independent of
+  /// the worker count and of earlier hits.
+  static constexpr SimMicros kHitBaseMicros = 50;
+  static constexpr uint64_t kHitRowsPerMicro = 20;
+
   explicit ResultCache(SimEnv* env);
   ~ResultCache();
   ResultCache(const ResultCache&) = delete;
@@ -91,10 +66,9 @@ class ResultCache {
   /// (Re)configures capacity/policy, evicting down to the new budget.
   /// Serial context only.
   void Configure(const ResultCacheOptions& options);
-  bool enabled() const { return options_.capacity_bytes > 0; }
-  const ResultCacheOptions& options() const { return options_; }
+  bool enabled() const { return core_.enabled(); }
 
-  /// Probes for a cached result. Charges `probe_latency` always and the
+  /// Probes for a cached result. Charges kProbeMicros always and the
   /// deterministic hit-replay cost on a hit; bumps hit/miss counters.
   std::shared_ptr<const RecordBatch> Get(const std::string& key);
 
@@ -114,49 +88,18 @@ class ResultCache {
   ResultCacheStats Stats() const;
 
  private:
-  struct Entry {
+  struct Value {
     std::shared_ptr<const RecordBatch> batch;
     std::vector<std::string> tables;
-    uint64_t bytes = 0;
-    uint64_t stamp = 0;
   };
-  struct Shard {
-    mutable std::mutex mu;
-    std::map<std::string, Entry> entries;
-    std::map<uint64_t, std::string> lru;  // stamp -> key
-    /// Exact invalidation index: table id -> keys of dependent entries.
-    std::map<std::string, std::set<std::string>> by_table;
-    uint64_t bytes_used = 0;
-  };
-
-  Shard& ShardFor(const std::string& key);
-  /// Removes `it` from every shard structure; returns the next iterator.
-  std::map<std::string, Entry>::iterator Remove(
-      Shard& shard, std::map<std::string, Entry>::iterator it);
-  void EvictOverflow(Shard& shard);
-  void EvictByFrequency(Shard& shard, const std::string& candidate);
 
   SimEnv* env_;
-  ResultCacheOptions options_;
-  uint64_t per_shard_capacity_ = 0;
-  uint64_t seq_ = 0;
-  double serve_carry_ = 0.0;  // fractional per-row serve micros carried over
-  std::atomic<uint64_t> hit_count_{0};
-  std::atomic<uint64_t> miss_count_{0};
-  uint64_t insert_count_ = 0;
-  uint64_t eviction_count_ = 0;
-  uint64_t invalidation_count_ = 0;
-  uint64_t admission_rejection_count_ = 0;
-  FrequencySketch sketch_;
-  std::vector<std::unique_ptr<Shard>> shards_;
-
+  // Reached only from result_cache.cc (but enabled()), like the block
+  // cache's core.
+  CacheCore<Value> core_;
   obs::Counter* hits_;
   obs::Counter* misses_;
   obs::Counter* inserts_;
-  obs::Counter* evictions_;
-  obs::Counter* invalidations_;
-  obs::Counter* admission_rejections_;
-  obs::Gauge* bytes_pinned_;
 };
 
 }  // namespace cache

@@ -88,7 +88,6 @@ struct EngineOptions {
   /// independent virtual time.
   bool enable_result_cache = false;
   uint64_t result_cache_capacity_bytes = 64ull << 20;  // 64 MiB
-  cache::AdmissionPolicy result_cache_admission = cache::AdmissionPolicy::kLru;
 };
 
 struct QueryStats {
@@ -133,7 +132,6 @@ class QueryEngine {
     if (options_.enable_result_cache && !env_->result_cache().enabled()) {
       cache::ResultCacheOptions rc_options;
       rc_options.capacity_bytes = options_.result_cache_capacity_bytes;
-      rc_options.admission_policy = options_.result_cache_admission;
       env_->ConfigureResultCache(rc_options);
     }
   }
