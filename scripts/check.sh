@@ -109,13 +109,18 @@ do_resultcache() {
 # coordinator unit/integration tests plus the log-replay property suite.
 # The concurrent-writer sweep lives under the chaos label; this stage covers
 # the commit protocol itself (CAS conflicts, crash points, ordered apply).
+# It also runs `blmt_test`: BLMT and the Write API share one data-file writer
+# and one commit-and-invalidate routine with the coordinator, and the
+# write-path tests (file naming across writers, direct commits) live there.
 do_txn() {
   for dir in build build-tsan; do
     if [[ ! -d "$ROOT/$dir" ]]; then
       echo "txn: $dir/ missing — run the plain/tsan stage first" >&2
       exit 1
     fi
+    cmake --build "$ROOT/$dir" -j "$JOBS" --target blmt_test
     ctest --test-dir "$ROOT/$dir" -L txn --output-on-failure
+    "$ROOT/$dir/tests/blmt_test"
   done
 }
 

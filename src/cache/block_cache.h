@@ -3,8 +3,10 @@
 // BigLake keeps hot table data close to the compute: decoded columnar blocks
 // and parsed file footers are cached under keys that include the object
 // *generation*, so any rewrite (CAS commit, DML, BLMT coalesce) makes stale
-// entries unreachable — generation-based invalidation — while explicit
-// `InvalidateObject` calls from the write paths reclaim the capacity early.
+// entries unreachable — generation-based invalidation — while
+// `InvalidateObject`, called for every removed file by the one post-commit
+// routine (LakehouseEnv::AfterCommit) and by BLMT GC, reclaims the capacity
+// early.
 //
 // Determinism. The cache is shared across queries and touched from pool
 // workers, yet hit/miss counts, eviction decisions and the surviving entry
@@ -170,8 +172,8 @@ class BlockCache {
                  uint64_t approx_bytes);
 
   /// Drops every generation/projection of `<cloud>|<bucket>|<object>`;
-  /// returns the number of entries dropped. Serial context only (wired into
-  /// WriteApi commits and BLMT DML/coalesce).
+  /// returns the number of entries dropped. Serial context only (called by
+  /// LakehouseEnv::AfterCommit for removed files, and by BLMT GC).
   uint64_t InvalidateObject(const char* cloud, const std::string& bucket,
                             const std::string& object);
 

@@ -10,10 +10,11 @@
 // every referenced table's Big Metadata commit generation is *in the key*,
 // any CAS commit / DML / BLMT optimize moves dependent keys and stale
 // entries become unreachable by construction — correctness never depends on
-// eager invalidation. `InvalidateTable` (wired next to the block cache's
-// `InvalidateObject` calls in the Write API and BLMT) additionally reclaims
-// the dead bytes the moment a commit lands; it drops exactly the entries
-// whose stored table list names the table.
+// eager invalidation. `InvalidateTable`, called for every touched table by
+// the one post-commit routine every commit route ends in
+// (LakehouseEnv::AfterCommit), additionally reclaims the dead bytes the
+// moment a commit lands; it drops exactly the entries whose stored table
+// list names the table.
 //
 // Determinism. Probe (Get) and insert (Put) happen only at the serial
 // entry/exit of QueryEngine::Execute — never inside a parallel region — so
@@ -77,9 +78,10 @@ class ResultCache {
   void Put(const std::string& key, const std::vector<std::string>& tables,
            std::shared_ptr<const RecordBatch> batch);
 
-  /// Drops every entry depending on `table_id`; returns how many. Wired
-  /// next to BlockCache::InvalidateObject in the write paths; reclaims
-  /// bytes early (generation-in-key already guarantees correctness).
+  /// Drops every entry depending on `table_id`; returns how many. Called
+  /// by LakehouseEnv::AfterCommit after every commit (and by BLMT GC);
+  /// reclaims bytes early (generation-in-key already guarantees
+  /// correctness).
   uint64_t InvalidateTable(const std::string& table_id);
 
   /// Drops all entries (capacity is kept). Serial context only.

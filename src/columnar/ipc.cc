@@ -140,7 +140,7 @@ void EncodeSchema(std::string* dst, const Schema& schema) {
 
 Result<SchemaPtr> DecodeSchema(Decoder* dec) {
   uint64_t n;
-  BL_RETURN_NOT_OK(dec->GetVarint64(&n));
+  BL_RETURN_NOT_OK(dec->GetCount(&n));
   std::vector<Field> fields;
   fields.reserve(n);
   for (uint64_t i = 0; i < n; ++i) {
@@ -365,7 +365,7 @@ Result<RecordBatch> DeserializeBatch(std::string_view data) {
   BL_ASSIGN_OR_RETURN(SchemaPtr schema, DecodeSchema(&dec));
   uint64_t rows, cols;
   BL_RETURN_NOT_OK(dec.GetVarint64(&rows));
-  BL_RETURN_NOT_OK(dec.GetVarint64(&cols));
+  BL_RETURN_NOT_OK(dec.GetCount(&cols));
   std::vector<Column> columns;
   columns.reserve(cols);
   for (uint64_t i = 0; i < cols; ++i) {

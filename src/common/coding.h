@@ -122,6 +122,17 @@ class Decoder {
     return Status::OK();
   }
 
+  /// Reads an element count. Every encoded element takes at least one byte,
+  /// so a count beyond remaining() is corrupt input: DataLoss, before any
+  /// container is sized from it.
+  Status GetCount(uint64_t* n) {
+    BL_RETURN_NOT_OK(GetVarint64(n));
+    if (*n > remaining()) {
+      return Status::DataLoss("element count exceeds the remaining input");
+    }
+    return Status::OK();
+  }
+
   Status GetLengthPrefixed(std::string_view* out) {
     uint64_t len = 0;
     BL_RETURN_NOT_OK(GetVarint64(&len));

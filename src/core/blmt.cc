@@ -15,10 +15,19 @@ namespace biglake {
 
 namespace {
 
+/// BLMT data files are `<prefix>data/blmt-<n>.plk`.
+constexpr std::string_view kFileStem = "blmt-";
+
 void CountDml(const char* op) {
   obs::MetricsRegistry::Default()
       .GetCounter(METRIC_BLMT_DML, {{"op", op}})
       ->Increment();
+}
+
+/// Stages one table's removes and adds into `txn` (nothing when empty).
+void Stage(meta::LakehouseTxn* txn, const meta::TxnTableOps& ops) {
+  if (!ops.removes.empty()) txn->RemoveFiles(ops.table_id, ops.removes);
+  if (!ops.adds.empty()) txn->AddFiles(ops.table_id, ops.adds);
 }
 
 }  // namespace
@@ -49,37 +58,16 @@ Result<const TableDef*> BlmtService::CheckedTable(
   return table;
 }
 
-Result<CachedFileMeta> BlmtService::WriteDataFile(const TableDef& table,
-                                                  const RecordBatch& rows) {
-  BL_ASSIGN_OR_RETURN(std::string bytes, WriteParquetFile(rows));
-  BL_ASSIGN_OR_RETURN(ObjectStore * store, env_->FindStore(table.location));
-  CallerContext ctx{.location = table.location};
-  std::string name =
-      StrCat(table.prefix, "data/blmt-", next_file_++, ".plk");
-  PutOptions po;
-  po.content_type = "application/x-parquet-lite";
-  uint64_t size = bytes.size();
-  // The name is fixed before the (retried) put so a transient fault never
-  // perturbs file naming or leaves half-written orphans.
-  BL_ASSIGN_OR_RETURN(
-      uint64_t gen,
-      fault::RetryResult<uint64_t>(
-          &env_->sim(), options_.retry, FaultSite::kObjPut,
-          StrCat(table.bucket, "/", name), [&] {
-            return store->Put(ctx, table.bucket, name, std::string(bytes), po);
-          }));
-  CachedFileMeta meta;
-  meta.file.path = name;
-  meta.file.size_bytes = size;
-  meta.file.row_count = rows.num_rows();
-  meta.generation = gen;
-  meta.content_type = po.content_type;
-  meta.create_time = env_->sim().clock().Now();
-  for (size_t c = 0; c < rows.num_columns(); ++c) {
-    meta.file.column_stats[rows.schema()->field(c).name] =
-        ComputeColumnStats(rows.column(c));
+Result<CachedFileMeta> BlmtService::WriteRows(const Principal& principal,
+                                              const std::string& table_id,
+                                              const RecordBatch& rows) {
+  BL_ASSIGN_OR_RETURN(const TableDef* table,
+                      CheckedTable(principal, table_id, Role::kWriter));
+  if (!rows.schema()->Equals(*table->schema)) {
+    return Status::InvalidArgument(
+        StrCat("insert schema does not match table `", table_id, "`"));
   }
-  return meta;
+  return env_->WriteDataFile(*table, {&rows, 1}, kFileStem, options_.retry);
 }
 
 Result<RecordBatch> BlmtService::ReadFile(const TableDef& table,
@@ -104,18 +92,9 @@ Result<uint64_t> BlmtService::Insert(const Principal& principal,
                                      const RecordBatch& rows) {
   obs::ScopedSpan span("blmt:insert", obs::Span::kRpc);
   CountDml("insert");
-  BL_ASSIGN_OR_RETURN(const TableDef* table,
-                      CheckedTable(principal, table_id, Role::kWriter));
-  if (!rows.schema()->Equals(*table->schema)) {
-    return Status::InvalidArgument("insert schema does not match table");
-  }
-  BL_ASSIGN_OR_RETURN(CachedFileMeta file, WriteDataFile(*table, rows));
-  BL_ASSIGN_OR_RETURN(uint64_t txn,
-                      env_->meta().AppendFiles(table_id, {file}));
-  // Every DML commit moves the table generation; reclaim dependent cached
-  // results eagerly (the generation key already fences them).
-  env_->result_cache().InvalidateTable(table_id);
-  return txn;
+  BL_ASSIGN_OR_RETURN(CachedFileMeta file,
+                      WriteRows(principal, table_id, rows));
+  return Commit({{table_id, {std::move(file)}, {}}}, /*insert=*/true);
 }
 
 Result<uint64_t> BlmtService::MultiTableInsert(
@@ -123,41 +102,13 @@ Result<uint64_t> BlmtService::MultiTableInsert(
     const std::vector<std::pair<std::string, RecordBatch>>& inserts) {
   obs::ScopedSpan span("blmt:multi_table_insert", obs::Span::kRpc);
   CountDml("multi_table_insert");
-  if (transactional()) {
-    std::vector<std::string> tables;
-    tables.reserve(inserts.size());
-    for (const auto& [table_id, rows] : inserts) {
-      tables.push_back(table_id);
-      (void)rows;
-    }
-    BL_ASSIGN_OR_RETURN(std::unique_ptr<meta::LakehouseTxn> txn,
-                        BeginTransaction(tables));
-    for (const auto& [table_id, rows] : inserts) {
-      Status s = TxnInsert(txn.get(), principal, table_id, rows);
-      if (!s.ok()) {
-        (void)AbortTransaction(txn.get());
-        return s;
-      }
-    }
-    return CommitTransaction(txn.get());
-  }
-  MetaTransaction txn = env_->meta().BeginTransaction();
+  std::vector<meta::TxnTableOps> ops;
   for (const auto& [table_id, rows] : inserts) {
-    BL_ASSIGN_OR_RETURN(const TableDef* table,
-                        CheckedTable(principal, table_id, Role::kWriter));
-    if (!rows.schema()->Equals(*table->schema)) {
-      return Status::InvalidArgument(
-          StrCat("insert schema does not match table `", table_id, "`"));
-    }
-    BL_ASSIGN_OR_RETURN(CachedFileMeta file, WriteDataFile(*table, rows));
-    txn.AddFiles(table_id, {file});
+    BL_ASSIGN_OR_RETURN(CachedFileMeta file,
+                        WriteRows(principal, table_id, rows));
+    ops.push_back({table_id, {std::move(file)}, {}});
   }
-  BL_ASSIGN_OR_RETURN(uint64_t commit_txn, txn.Commit());
-  for (const auto& [table_id, rows] : inserts) {
-    env_->result_cache().InvalidateTable(table_id);
-    (void)rows;
-  }
-  return commit_txn;
+  return Commit(ops);
 }
 
 Result<uint64_t> BlmtService::Delete(const Principal& principal,
@@ -181,34 +132,11 @@ Result<uint64_t> BlmtService::RunRewrite(
     const Principal& principal, const std::string& table_id,
     const ExprPtr& predicate,
     const std::map<std::string, Value>* assignments) {
-  if (transactional()) {
-    BL_ASSIGN_OR_RETURN(std::unique_ptr<meta::LakehouseTxn> txn,
-                        BeginTransaction({table_id}));
-    Result<uint64_t> staged =
-        StageRewrite(txn.get(), principal, table_id, predicate, assignments);
-    if (!staged.ok()) {
-      (void)AbortTransaction(txn.get());
-      return staged.status();
-    }
-    BL_RETURN_NOT_OK(CommitTransaction(txn.get()).status());
-    return staged;
-  }
   BL_ASSIGN_OR_RETURN(
       Rewrite rewrite,
       PlanRewrite(principal, table_id, predicate, assignments, kLatestTxn));
-  if (!rewrite.removals.empty()) {
-    // Rewritten files must never be served from cache again: drop every
-    // cached generation/projection before swapping them out.
-    for (const std::string& path : rewrite.removals) {
-      env_->block_cache().InvalidateObject(
-          CloudProviderName(rewrite.table->location.provider),
-          rewrite.table->bucket, path);
-    }
-    BL_RETURN_NOT_OK(env_->meta()
-                         .SwapFiles(table_id, std::move(rewrite.removals),
-                                    std::move(rewrite.additions))
-                         .status());
-    env_->result_cache().InvalidateTable(table_id);
+  if (!rewrite.ops.removes.empty()) {
+    BL_RETURN_NOT_OK(Commit({std::move(rewrite.ops)}).status());
   }
   return rewrite.matched;
 }
@@ -218,7 +146,8 @@ Result<BlmtService::Rewrite> BlmtService::PlanRewrite(
     const ExprPtr& predicate, const std::map<std::string, Value>* assignments,
     uint64_t snapshot_txn) {
   Rewrite out;
-  BL_ASSIGN_OR_RETURN(out.table,
+  out.ops.table_id = table_id;
+  BL_ASSIGN_OR_RETURN(const TableDef* table,
                       CheckedTable(principal, table_id, Role::kWriter));
   if (predicate == nullptr) {
     return Status::InvalidArgument(StrCat(
@@ -226,7 +155,7 @@ Result<BlmtService::Rewrite> BlmtService::PlanRewrite(
   }
   if (assignments != nullptr) {
     for (const auto& [col, val] : *assignments) {
-      if (out.table->schema->FieldIndex(col) < 0) {
+      if (table->schema->FieldIndex(col) < 0) {
         return Status::NotFound(StrCat("no column `", col, "`"));
       }
       (void)val;
@@ -237,14 +166,14 @@ Result<BlmtService::Rewrite> BlmtService::PlanRewrite(
                       env_->meta().PruneFiles(table_id, predicate,
                                               snapshot_txn));
   for (const CachedFileMeta& file : candidates.files) {
-    BL_ASSIGN_OR_RETURN(RecordBatch data, ReadFile(*out.table, file));
+    BL_ASSIGN_OR_RETURN(RecordBatch data, ReadFile(*table, file));
     BL_ASSIGN_OR_RETURN(Column match, predicate->Evaluate(data));
     std::vector<uint8_t> mask = BoolColumnToMask(match);
     uint64_t matches =
         std::accumulate(mask.begin(), mask.end(), uint64_t{0});
     if (matches == 0) continue;  // false positive from stats
     out.matched += matches;
-    out.removals.push_back(file.file.path);
+    out.ops.removes.push_back(file.file.path);
     RecordBatch rewritten;
     if (assignments == nullptr) {
       // Keep the non-matching remainder.
@@ -271,8 +200,9 @@ Result<BlmtService::Rewrite> BlmtService::PlanRewrite(
       rewritten = RecordBatch(data.schema(), std::move(cols));
     }
     BL_ASSIGN_OR_RETURN(CachedFileMeta meta,
-                        WriteDataFile(*out.table, rewritten));
-    out.additions.push_back(std::move(meta));
+                        env_->WriteDataFile(*table, {&rewritten, 1},
+                                            kFileStem, options_.retry));
+    out.ops.adds.push_back(std::move(meta));
   }
   return out;
 }
@@ -292,14 +222,19 @@ Result<RecordBatch> BlmtService::ReadAll(const std::string& table_id,
   return RecordBatch::Concat(batches);
 }
 
-Result<std::unique_ptr<meta::LakehouseTxn>> BlmtService::BeginTransaction(
-    const std::vector<std::string>& tables) {
+Result<meta::TxnCoordinator*> BlmtService::Coordinator() const {
   if (!transactional()) {
     return Status::FailedPrecondition(
         "multi-table transactions are not enabled on this environment "
         "(LakehouseEnv::EnableTransactions)");
   }
-  return env_->txn()->BeginTransaction(tables);
+  return env_->txn();
+}
+
+Result<std::unique_ptr<meta::LakehouseTxn>> BlmtService::BeginTransaction(
+    const std::vector<std::string>& tables) {
+  BL_ASSIGN_OR_RETURN(meta::TxnCoordinator * coord, Coordinator());
+  return coord->BeginTransaction(tables);
 }
 
 Status BlmtService::TxnInsert(meta::LakehouseTxn* txn,
@@ -309,13 +244,8 @@ Status BlmtService::TxnInsert(meta::LakehouseTxn* txn,
   if (txn->state() != meta::LakehouseTxn::State::kOpen) {
     return Status::FailedPrecondition("transaction is not open");
   }
-  BL_ASSIGN_OR_RETURN(const TableDef* table,
-                      CheckedTable(principal, table_id, Role::kWriter));
-  if (!rows.schema()->Equals(*table->schema)) {
-    return Status::InvalidArgument(
-        StrCat("insert schema does not match table `", table_id, "`"));
-  }
-  BL_ASSIGN_OR_RETURN(CachedFileMeta file, WriteDataFile(*table, rows));
+  BL_ASSIGN_OR_RETURN(CachedFileMeta file,
+                      WriteRows(principal, table_id, rows));
   txn->AddFiles(table_id, {std::move(file)});
   return Status::OK();
 }
@@ -352,27 +282,30 @@ Result<uint64_t> BlmtService::StageRewrite(
   BL_ASSIGN_OR_RETURN(Rewrite rewrite,
                       PlanRewrite(principal, table_id, predicate, assignments,
                                   txn->snapshot().meta_txn));
-  if (!rewrite.removals.empty()) {
-    txn->RemoveFiles(table_id, std::move(rewrite.removals));
-    txn->AddFiles(table_id, std::move(rewrite.additions));
-  }
+  Stage(txn, rewrite.ops);
   return rewrite.matched;
 }
 
 Result<uint64_t> BlmtService::CommitTransaction(meta::LakehouseTxn* txn) {
-  if (!transactional()) {
-    return Status::FailedPrecondition(
-        "multi-table transactions are not enabled on this environment");
-  }
-  return env_->txn()->Commit(txn);
+  BL_ASSIGN_OR_RETURN(meta::TxnCoordinator * coord, Coordinator());
+  return coord->Commit(txn);
 }
 
 Status BlmtService::AbortTransaction(meta::LakehouseTxn* txn) {
-  if (!transactional()) {
-    return Status::FailedPrecondition(
-        "multi-table transactions are not enabled on this environment");
-  }
-  return env_->txn()->Abort(txn);
+  BL_ASSIGN_OR_RETURN(meta::TxnCoordinator * coord, Coordinator());
+  return coord->Abort(txn);
+}
+
+Result<uint64_t> BlmtService::Commit(const std::vector<meta::TxnTableOps>& ops,
+                                     bool insert) {
+  if (ops.empty()) return env_->meta().LatestTxn();
+  if (!transactional() || insert) return env_->CommitDirect(ops);
+  std::vector<std::string> tables;
+  for (const meta::TxnTableOps& t : ops) tables.push_back(t.table_id);
+  BL_ASSIGN_OR_RETURN(std::unique_ptr<meta::LakehouseTxn> txn,
+                      env_->txn()->BeginTransaction(tables));
+  for (const meta::TxnTableOps& t : ops) Stage(txn.get(), t);
+  return env_->txn()->Commit(txn.get());
 }
 
 Result<OptimizeReport> BlmtService::OptimizeStorage(
@@ -448,23 +381,17 @@ Result<OptimizeReport> BlmtService::OptimizeStorage(
   for (size_t off = 0; off < merged.num_rows(); off += rows_per_file) {
     RecordBatch piece = merged.Slice(
         off, std::min<size_t>(rows_per_file, merged.num_rows() - off));
-    BL_ASSIGN_OR_RETURN(CachedFileMeta meta, WriteDataFile(*table, piece));
+    BL_ASSIGN_OR_RETURN(CachedFileMeta meta,
+                        env_->WriteDataFile(*table, {&piece, 1}, kFileStem,
+                                            options_.retry));
     additions.push_back(std::move(meta));
   }
   report.files_coalesced = removals.size();
   report.files_after =
       files.size() - removals.size() + additions.size();
-  // Coalesce/recluster replaces the small files wholesale; evict their
-  // cached footers and blocks before the metadata swap lands.
-  for (const std::string& path : removals) {
-    env_->block_cache().InvalidateObject(
-        CloudProviderName(table->location.provider), table->bucket, path);
-  }
-  BL_RETURN_NOT_OK(env_->meta()
-                       .SwapFiles(table_id, std::move(removals),
-                                  std::move(additions))
-                       .status());
-  env_->result_cache().InvalidateTable(table_id);
+  BL_RETURN_NOT_OK(
+      Commit({{table_id, std::move(additions), std::move(removals)}})
+          .status());
   env_->sim().counters().Add("blmt.optimize_runs", 1);
   return report;
 }

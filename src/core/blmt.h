@@ -100,10 +100,11 @@ class BlmtService {
 
   // --- Multi-table transactions (meta/txn.h) ---
   // Available once LakehouseEnv::EnableTransactions has configured the
-  // coordinator; MultiTableInsert/Delete/Update then commit through the
-  // write-intent + txn-log protocol automatically. Single-table Insert keeps
-  // its direct append path: appends never conflict, so mixing it with
-  // transactions is safe by construction.
+  // coordinator. Every BLMT commit then goes through the write-intent +
+  // txn-log protocol (MultiTableInsert, Delete, Update, OptimizeStorage),
+  // except single-table Insert, which keeps its direct append: appends never
+  // conflict, so mixing it with transactions is safe by construction
+  // (docs/TRANSACTIONS.md). The calls below are the explicit-transaction API.
 
   /// True when this environment has a transaction coordinator.
   bool transactional() const { return env_->txn() != nullptr; }
@@ -156,17 +157,20 @@ class BlmtService {
   Result<const TableDef*> CheckedTable(const Principal& principal,
                                        const std::string& table_id,
                                        Role needed) const;
-  Result<CachedFileMeta> WriteDataFile(const TableDef& table,
-                                       const RecordBatch& rows);
+  /// The coordinator, or FailedPrecondition when transactions are off.
+  Result<meta::TxnCoordinator*> Coordinator() const;
+  /// Checks write access and the schema, then writes `rows` as one data
+  /// file of `table_id` (invisible until committed).
+  Result<CachedFileMeta> WriteRows(const Principal& principal,
+                                   const std::string& table_id,
+                                   const RecordBatch& rows);
   Result<RecordBatch> ReadFile(const TableDef& table,
                                const CachedFileMeta& file);
 
   /// The file rewrite one DELETE or UPDATE statement produces.
   struct Rewrite {
-    const TableDef* table = nullptr;
     uint64_t matched = 0;  // rows deleted or updated
-    std::vector<std::string> removals;
-    std::vector<CachedFileMeta> additions;
+    meta::TxnTableOps ops;  // rewritten files out, their remainders in
   };
   /// Plans a DELETE (`assignments` == nullptr) or an UPDATE as of
   /// `snapshot_txn`: checks access and arguments, prunes candidates by
@@ -177,8 +181,7 @@ class BlmtService {
                               const ExprPtr& predicate,
                               const std::map<std::string, Value>* assignments,
                               uint64_t snapshot_txn);
-  /// Runs a DELETE/UPDATE in its own transaction when transactional, else
-  /// swaps the rewritten files in directly.
+  /// Plans a DELETE/UPDATE at the latest snapshot and commits it.
   Result<uint64_t> RunRewrite(const Principal& principal,
                               const std::string& table_id,
                               const ExprPtr& predicate,
@@ -188,11 +191,17 @@ class BlmtService {
       meta::LakehouseTxn* txn, const Principal& principal,
       const std::string& table_id, const ExprPtr& predicate,
       const std::map<std::string, Value>* assignments);
+  /// The one BLMT commit routine: makes `ops` visible atomically. With a
+  /// coordinator configured they commit as one record through the txn log;
+  /// the one exception is `insert`, a single-table INSERT's pure append,
+  /// which never conflicts and commits directly. Without a coordinator every
+  /// commit is direct. Either route ends in LakehouseEnv::AfterCommit.
+  Result<uint64_t> Commit(const std::vector<meta::TxnTableOps>& ops,
+                          bool insert = false);
 
   LakehouseEnv* env_;
   BlmtOptions options_;
   std::map<std::string, std::vector<std::string>> clustering_;
-  uint64_t next_file_ = 1;
 };
 
 }  // namespace biglake

@@ -10,11 +10,16 @@
 
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "cache/block_cache.h"
 #include "cache/result_cache.h"
 #include "catalog/catalog.h"
+#include "columnar/batch.h"
+#include "fault/retry.h"
 #include "meta/bigmeta.h"
 #include "meta/metadata_cache.h"
 #include "meta/txn.h"
@@ -48,7 +53,8 @@ class LakehouseEnv {
 
   /// The environment-wide query result cache (src/cache/result_cache.h).
   /// Disabled until ConfigureResultCache grants it capacity; shared by every
-  /// engine on this env, and invalidated by the Write API and BLMT commits.
+  /// engine on this env, and invalidated by AfterCommit, which every commit
+  /// route ends in.
   cache::ResultCache& result_cache() { return result_cache_; }
   void ConfigureResultCache(const cache::ResultCacheOptions& options) {
     result_cache_.Configure(options);
@@ -81,36 +87,43 @@ class LakehouseEnv {
 
   /// Opts this environment into multi-table transactions (meta/txn.h): the
   /// coordinator keeps its log + intent manifests under `prefix` in `bucket`
-  /// on `store`, and its invalidation hook drops result-cache entries and
-  /// block-cache blocks for every table/file a committed record touches — in
-  /// the same atomic step as the metadata apply, so no cached plan can mix
-  /// per-table generations across a commit. BlmtService reroutes multi-table
-  /// DML through the coordinator once this is configured.
+  /// on `store`, and fires AfterCommit for every record it applies — in the
+  /// same atomic step as the metadata apply, so no cached plan can mix
+  /// per-table generations across a commit. From then on BLMT commits go
+  /// through the coordinator, except single-table INSERT appends
+  /// (docs/TRANSACTIONS.md has the routing table).
   meta::TxnCoordinator* EnableTransactions(
       ObjectStore* store, const std::string& bucket,
-      meta::TxnCoordinatorOptions options = {}) {
-    options.bucket = bucket;
-    txn_ = std::make_unique<meta::TxnCoordinator>(&env_, &meta_, store,
-                                                  std::move(options));
-    txn_->set_invalidation_hook([this](const meta::TxnLogRecord& rec) {
-      for (const meta::TxnTableOps& ops : rec.tables) {
-        result_cache_.InvalidateTable(ops.table_id);
-        if (ops.removes.empty()) continue;
-        auto table = catalog_.GetTable(ops.table_id);
-        if (!table.ok()) continue;  // replayed into an env without catalog
-        const char* cloud = CloudProviderName((*table)->location.provider);
-        for (const std::string& path : ops.removes) {
-          // Staged remove paths are full object names (they include the
-          // table prefix), matching BLMT's own invalidation calls.
-          block_cache_.InvalidateObject(cloud, (*table)->bucket, path);
-        }
-      }
-    });
-    return txn_.get();
-  }
+      meta::TxnCoordinatorOptions options = {});
 
   /// The transaction coordinator, or nullptr when not enabled.
   meta::TxnCoordinator* txn() { return txn_.get(); }
+
+  // --- The write path: write data files, then commit, then invalidate ---
+
+  /// Writes `batches` as one immutable Parquet-lite data file named
+  /// `<prefix>data/<stem><n>.plk` in the table's bucket and returns its
+  /// metadata entry, column statistics included. `n` comes from this
+  /// environment's one file counter, so two writers on one environment never
+  /// produce the same name. The name is fixed before the put, which retries
+  /// transient faults under `retry` by re-sending the same bytes to the same
+  /// object: a retry never perturbs naming or leaves a half-written orphan.
+  /// The file stays invisible until a commit adds it.
+  Result<CachedFileMeta> WriteDataFile(const TableDef& table,
+                                       std::span<const RecordBatch> batches,
+                                       std::string_view stem,
+                                       const fault::RetryPolicy& retry);
+
+  /// The direct commit route: applies `ops` as one Big Metadata transaction
+  /// (no txn log record), then runs AfterCommit. Returns the commit txn id.
+  Result<uint64_t> CommitDirect(const std::vector<meta::TxnTableOps>& ops);
+
+  /// The post-commit rule, run by every commit route (CommitDirect, and the
+  /// coordinator's invalidation hook): drops the result-cache entries of
+  /// every table `ops` touches and the cached blocks and footers of every
+  /// file it removes. Generation-keyed cache entries are already
+  /// unreachable after a commit; this reclaims their bytes at once.
+  void AfterCommit(const std::vector<meta::TxnTableOps>& ops);
 
  private:
   SimEnv env_;
@@ -122,6 +135,7 @@ class LakehouseEnv {
   cache::ResultCache result_cache_;
   std::map<std::string, std::unique_ptr<ObjectStore>> stores_;
   std::unique_ptr<meta::TxnCoordinator> txn_;
+  uint64_t next_file_ = 1;
 };
 
 }  // namespace biglake

@@ -109,13 +109,16 @@ uint64_t FooterFootprint(const ParquetFileMeta& meta) {
 }
 
 /// A file's parsed footer, through the block cache when `cache` is set
-/// (`*hit` reports a cache hit). nullptr means "not a data file"; a
-/// retryable store fault is an error, because treating it as a non-data
-/// file would silently return a partial listing or scan. A parse is
-/// admitted to the cache only when every read observed `generation`.
+/// (`*hit` reports a cache hit). nullptr means "not a data file": external
+/// tables expect non-Parquet objects under their prefix, but a file of a
+/// `managed` table that does not parse is lost data (DataLoss). A retryable
+/// store fault is always an error, because treating it as a non-data file
+/// would silently return a partial listing or scan. A parse is admitted to
+/// the cache only when every read observed `generation`.
 Result<std::shared_ptr<const ParquetFileMeta>> CachedFooter(
     const ObjectSource& source, cache::BlockCache* cache,
-    const std::string& key, uint64_t generation, bool* hit = nullptr) {
+    const std::string& key, uint64_t generation, bool managed,
+    bool* hit = nullptr) {
   if (cache != nullptr) {
     auto meta = cache->GetFooter(key);
     if (hit != nullptr) *hit = meta != nullptr;
@@ -123,7 +126,7 @@ Result<std::shared_ptr<const ParquetFileMeta>> CachedFooter(
   }
   auto parsed = ReadParquetFooter(source);
   if (!parsed.ok()) {
-    if (IsRetryable(parsed.status())) return parsed.status();
+    if (managed || IsRetryable(parsed.status())) return parsed.status();
     return std::shared_ptr<const ParquetFileMeta>();
   }
   auto owned =
@@ -135,11 +138,16 @@ Result<std::shared_ptr<const ParquetFileMeta>> CachedFooter(
   return owned;
 }
 
+/// Managed and BigLake-managed tables: BigQuery wrote every data file.
+bool IsManaged(const TableDef& table) {
+  return table.kind == TableKind::kManaged ||
+         table.kind == TableKind::kBigLakeManaged;
+}
+
 /// Whether the table's file list and statistics come from Big Metadata
 /// (cached external tables and both managed kinds) rather than listing.
 bool UsesBigMetadata(const TableDef& table) {
-  return table.metadata_cache_enabled || table.kind == TableKind::kManaged ||
-         table.kind == TableKind::kBigLakeManaged;
+  return table.metadata_cache_enabled || IsManaged(table);
 }
 
 /// NotFound unless every name is a stored or hive-partition column.
@@ -226,7 +234,7 @@ Result<FileBlocks> StreamRead::Fetch(const CachedFileMeta& fm) const {
                    cache == nullptr
                        ? std::string()
                        : cache::FooterKey(obj_prefix, fm.generation),
-                   fm.generation, &hit));
+                   fm.generation, IsManaged(table), &hit));
   if (cache != nullptr) {
     if (hit) {
       ++out.cache_hits;
@@ -650,7 +658,7 @@ Result<PrunedFiles> StorageReadApi::CollectFiles(const TableDef& table,
                                    CloudProviderName(table.location.provider),
                                    table.bucket, obj.name),
                                obj.generation),
-                     obj.generation));
+                     obj.generation, /*managed=*/false));
     if (meta == nullptr) continue;  // not a data file
     SetFooterStats(*meta, &entry);
     if (predicate != nullptr && FileCannotMatch(*predicate, entry)) {

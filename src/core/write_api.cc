@@ -1,7 +1,8 @@
 #include "core/write_api.h"
 
+#include <algorithm>
+
 #include "common/strings.h"
-#include "format/parquet_lite.h"
 #include "obs/metric_names.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -30,50 +31,6 @@ Result<std::string> StorageWriteApi::CreateWriteStream(
   std::string id = state.info.stream_id;
   streams_[id] = std::move(state);
   return id;
-}
-
-Result<CachedFileMeta> StorageWriteApi::WriteDataFile(
-    const TableDef& table, const std::vector<RecordBatch>& batches) {
-  ParquetWriter writer(table.schema);
-  for (const RecordBatch& b : batches) {
-    BL_RETURN_NOT_OK(writer.Append(b));
-  }
-  BL_ASSIGN_OR_RETURN(std::string bytes, writer.Finish());
-
-  BL_ASSIGN_OR_RETURN(ObjectStore * store, env_->FindStore(table.location));
-  CallerContext ctx{.location = table.location};
-  std::string name = StrCat(table.prefix, "data/", "f-", next_file_++, ".plk");
-  PutOptions po;
-  po.content_type = "application/x-parquet-lite";
-  uint64_t size = bytes.size();
-  // The name is fixed before the (retried) put: each attempt re-sends the
-  // same bytes to the same object, so recovery is invisible to readers.
-  BL_ASSIGN_OR_RETURN(
-      uint64_t gen,
-      fault::RetryResult<uint64_t>(
-          &env_->sim(), options_.retry, FaultSite::kObjPut,
-          StrCat(table.bucket, "/", name), [&] {
-            return store->Put(ctx, table.bucket, name, std::string(bytes), po);
-          }));
-
-  CachedFileMeta meta;
-  meta.file.path = name;
-  meta.file.size_bytes = size;
-  meta.generation = gen;
-  meta.content_type = po.content_type;
-  meta.create_time = env_->sim().clock().Now();
-  uint64_t rows = 0;
-  for (const RecordBatch& b : batches) rows += b.num_rows();
-  meta.file.row_count = rows;
-  // Column statistics straight from the written data.
-  if (!batches.empty()) {
-    BL_ASSIGN_OR_RETURN(RecordBatch all, RecordBatch::Concat(batches));
-    for (size_t c = 0; c < all.num_columns(); ++c) {
-      meta.file.column_stats[all.schema()->field(c).name] =
-          ComputeColumnStats(all.column(c));
-    }
-  }
-  return meta;
 }
 
 Result<uint64_t> StorageWriteApi::AppendRows(const std::string& stream_id,
@@ -126,33 +83,35 @@ Result<uint64_t> StorageWriteApi::AppendRows(const std::string& stream_id,
   return stream.info.rows_appended;
 }
 
+Result<uint64_t> StorageWriteApi::CommitStreams(
+    const std::vector<StreamState*>& streams, const std::string& key) {
+  BL_RETURN_NOT_OK(fault::RetryStatus(
+      &env_->sim(), options_.retry, FaultSite::kWriteCommit, key, [&] {
+        return CheckFault(&env_->sim(), FaultSite::kWriteCommit, "", key);
+      }));
+  std::vector<meta::TxnTableOps> ops;
+  for (StreamState* stream : streams) {
+    if (stream->buffered_rows == 0) continue;
+    BL_ASSIGN_OR_RETURN(CachedFileMeta file,
+                        env_->WriteDataFile(*stream->table, stream->buffered,
+                                            "f-", options_.retry));
+    ops.push_back({stream->info.table_id, {std::move(file)}, {}});
+  }
+  BL_ASSIGN_OR_RETURN(uint64_t txn, env_->CommitDirect(ops));
+  for (StreamState* stream : streams) {
+    stream->buffered.clear();
+    stream->buffered_rows = 0;
+  }
+  return txn;
+}
+
 Status StorageWriteApi::FlushCommitted(StreamState* stream) {
   if (stream->buffered_rows == 0) return Status::OK();
   obs::ScopedSpan span("writeapi:commit", obs::Span::kRpc);
   obs::MetricsRegistry::Default()
       .GetCounter(METRIC_WRITEAPI_COMMITS, {{"mode", "single"}})
       ->Increment();
-  const std::string& stream_id = stream->info.stream_id;
-  BL_RETURN_NOT_OK(fault::RetryStatus(
-      &env_->sim(), options_.retry, FaultSite::kWriteCommit, stream_id, [&] {
-        return CheckFault(&env_->sim(), FaultSite::kWriteCommit, "",
-                          stream_id);
-      }));
-  BL_ASSIGN_OR_RETURN(CachedFileMeta file,
-                      WriteDataFile(*stream->table, stream->buffered));
-  // A commit makes any cached decode of this object path stale (the
-  // generation key already fences it; this reclaims the bytes eagerly).
-  env_->block_cache().InvalidateObject(
-      CloudProviderName(stream->table->location.provider),
-      stream->table->bucket, file.file.path);
-  BL_RETURN_NOT_OK(
-      env_->meta().AppendFiles(stream->info.table_id, {file}).status());
-  // The commit moved the table's generation, so dependent result-cache keys
-  // are already unreachable; this reclaims their bytes eagerly.
-  env_->result_cache().InvalidateTable(stream->info.table_id);
-  stream->buffered.clear();
-  stream->buffered_rows = 0;
-  return Status::OK();
+  return CommitStreams({stream}, stream->info.stream_id).status();
 }
 
 Status StorageWriteApi::FinalizeStream(const std::string& stream_id) {
@@ -187,7 +146,11 @@ Result<uint64_t> StorageWriteApi::BatchCommit(
       return Status::FailedPrecondition(
           StrCat("stream `", id, "` must be finalized before commit"));
     }
-    to_commit.push_back(&stream);
+    // A stream named twice commits once.
+    if (std::find(to_commit.begin(), to_commit.end(), &stream) ==
+        to_commit.end()) {
+      to_commit.push_back(&stream);
+    }
   }
   // Write data files, then one metadata transaction across all tables.
   obs::ScopedSpan span("writeapi:batch_commit", obs::Span::kRpc);
@@ -195,30 +158,8 @@ Result<uint64_t> StorageWriteApi::BatchCommit(
   obs::MetricsRegistry::Default()
       .GetCounter(METRIC_WRITEAPI_COMMITS, {{"mode", "batch"}})
       ->Increment();
-  const std::string commit_key =
-      stream_ids.empty() ? std::string("batch") : stream_ids.front();
-  BL_RETURN_NOT_OK(fault::RetryStatus(
-      &env_->sim(), options_.retry, FaultSite::kWriteCommit, commit_key, [&] {
-        return CheckFault(&env_->sim(), FaultSite::kWriteCommit, "",
-                          commit_key);
-      }));
-  MetaTransaction txn = env_->meta().BeginTransaction();
-  for (StreamState* stream : to_commit) {
-    if (stream->buffered_rows == 0) continue;
-    BL_ASSIGN_OR_RETURN(CachedFileMeta file,
-                        WriteDataFile(*stream->table, stream->buffered));
-    env_->block_cache().InvalidateObject(
-        CloudProviderName(stream->table->location.provider),
-        stream->table->bucket, file.file.path);
-    txn.AddFiles(stream->info.table_id, {file});
-    stream->buffered.clear();
-    stream->buffered_rows = 0;
-  }
-  BL_ASSIGN_OR_RETURN(uint64_t commit_txn, txn.Commit());
-  for (StreamState* stream : to_commit) {
-    env_->result_cache().InvalidateTable(stream->info.table_id);
-  }
-  return commit_txn;
+  return CommitStreams(to_commit, stream_ids.empty() ? std::string("batch")
+                                                      : stream_ids.front());
 }
 
 Result<WriteStreamInfo> StorageWriteApi::GetStream(

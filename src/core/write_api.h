@@ -83,18 +83,20 @@ class StorageWriteApi {
     uint64_t buffered_rows = 0;
   };
 
-  /// Writes `batches` as one Parquet-lite data file into the table's
-  /// storage and returns its metadata entry.
-  Result<CachedFileMeta> WriteDataFile(const TableDef& table,
-                                       const std::vector<RecordBatch>& batches);
+  /// The one commit body: writes each stream's buffered rows as one data
+  /// file, then commits every file in one direct Big Metadata transaction
+  /// (LakehouseEnv::CommitDirect) and empties the buffers. `key` names the
+  /// commit for fault injection and retries.
+  Result<uint64_t> CommitStreams(const std::vector<StreamState*>& streams,
+                                 const std::string& key);
 
-  /// Flushes a committed-mode stream's buffer as a visible commit.
+  /// Flushes a committed-mode stream's buffer as a visible commit: a
+  /// one-stream CommitStreams.
   Status FlushCommitted(StreamState* stream);
 
   LakehouseEnv* env_;
   WriteApiOptions options_;
   uint64_t next_stream_ = 1;
-  uint64_t next_file_ = 1;
   std::map<std::string, StreamState> streams_;
 };
 

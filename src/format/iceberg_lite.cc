@@ -74,7 +74,7 @@ std::string EncodeManifest(const std::vector<DataFileEntry>& files) {
 Result<std::vector<DataFileEntry>> DecodeManifest(std::string_view data) {
   Decoder dec(data);
   uint64_t n;
-  BL_RETURN_NOT_OK(dec.GetVarint64(&n));
+  BL_RETURN_NOT_OK(dec.GetCount(&n));
   std::vector<DataFileEntry> files;
   files.reserve(n);
   for (uint64_t i = 0; i < n; ++i) {

@@ -225,13 +225,13 @@ Result<ParquetFileMeta> ReadParquetFooter(const RandomAccessSource& source) {
   BL_ASSIGN_OR_RETURN(meta.schema, DecodeSchema(&dec));
   BL_RETURN_NOT_OK(dec.GetVarint64(&meta.total_rows));
   uint64_t num_groups;
-  BL_RETURN_NOT_OK(dec.GetVarint64(&num_groups));
+  BL_RETURN_NOT_OK(dec.GetCount(&num_groups));
   meta.row_groups.reserve(num_groups);
   for (uint64_t g = 0; g < num_groups; ++g) {
     RowGroupMeta rg;
     BL_RETURN_NOT_OK(dec.GetVarint64(&rg.num_rows));
     uint64_t num_cols;
-    BL_RETURN_NOT_OK(dec.GetVarint64(&num_cols));
+    BL_RETURN_NOT_OK(dec.GetCount(&num_cols));
     rg.columns.reserve(num_cols);
     for (uint64_t c = 0; c < num_cols; ++c) {
       ColumnChunkMeta chunk;

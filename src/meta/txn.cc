@@ -52,20 +52,20 @@ Status DecodeTxnLogRecord(Decoder* dec, TxnLogRecord* out) {
   BL_RETURN_NOT_OK(dec->GetVarint64(&out->seq));
   BL_RETURN_NOT_OK(dec->GetLengthPrefixedString(&out->uid));
   uint64_t num_tables = 0;
-  BL_RETURN_NOT_OK(dec->GetVarint64(&num_tables));
+  BL_RETURN_NOT_OK(dec->GetCount(&num_tables));
   out->tables.clear();
   out->tables.reserve(num_tables);
   for (uint64_t i = 0; i < num_tables; ++i) {
     TxnTableOps ops;
     BL_RETURN_NOT_OK(dec->GetLengthPrefixedString(&ops.table_id));
     uint64_t num_adds = 0;
-    BL_RETURN_NOT_OK(dec->GetVarint64(&num_adds));
+    BL_RETURN_NOT_OK(dec->GetCount(&num_adds));
     ops.adds.resize(num_adds);
     for (uint64_t j = 0; j < num_adds; ++j) {
       BL_RETURN_NOT_OK(DecodeCachedFileMeta(dec, &ops.adds[j]));
     }
     uint64_t num_removes = 0;
-    BL_RETURN_NOT_OK(dec->GetVarint64(&num_removes));
+    BL_RETURN_NOT_OK(dec->GetCount(&num_removes));
     ops.removes.resize(num_removes);
     for (uint64_t j = 0; j < num_removes; ++j) {
       BL_RETURN_NOT_OK(dec->GetLengthPrefixedString(&ops.removes[j]));
@@ -95,14 +95,23 @@ Result<std::vector<TxnLogRecord>> DecodeLog(std::string_view bytes) {
 
 void LakehouseTxn::AddFiles(const std::string& table_id,
                             std::vector<CachedFileMeta> files) {
-  auto& w = ops_[table_id];
+  TxnTableOps& w = ops_[table_id];
+  w.table_id = table_id;
   for (auto& f : files) w.adds.push_back(std::move(f));
 }
 
 void LakehouseTxn::RemoveFiles(const std::string& table_id,
                                std::vector<std::string> paths) {
-  auto& w = ops_[table_id];
+  TxnTableOps& w = ops_[table_id];
+  w.table_id = table_id;
   for (auto& p : paths) w.removes.push_back(std::move(p));
+}
+
+TxnLogRecord LakehouseTxn::Record() const {
+  TxnLogRecord rec;
+  rec.uid = uid_;
+  for (const auto& [table_id, ops] : ops_) rec.tables.push_back(ops);
+  return rec;
 }
 
 std::vector<std::string> LakehouseTxn::TouchedTables() const {
@@ -190,17 +199,13 @@ void TxnCoordinator::CountAbort(const char* reason) {
 
 Status TxnCoordinator::WriteIntents(const LakehouseTxn& txn) {
   const char* cloud = CloudProviderName(store_->location().provider);
-  for (const auto& [table_id, w] : txn.ops_) {
-    TxnTableOps ops;
-    ops.table_id = table_id;
-    ops.adds = w.adds;
-    ops.removes = w.removes;
+  for (const auto& [table_id, ops] : txn.ops_) {
     std::string body;
     PutLengthPrefixed(&body, txn.uid_);
     PutVarint64(&body, txn.snapshot_.meta_txn);
     TxnLogRecord one;  // reuse the record framing for a single table
     one.uid = txn.uid_;
-    one.tables.push_back(std::move(ops));
+    one.tables.push_back(ops);
     EncodeTxnLogRecord(&body, one);
     const std::string name = IntentObjectName(txn.uid_, table_id);
     Status s = fault::RetryStatus(
@@ -218,11 +223,10 @@ Status TxnCoordinator::WriteIntents(const LakehouseTxn& txn) {
   return Status::OK();
 }
 
-void TxnCoordinator::DeleteIntents(const LakehouseTxn& txn) {
-  for (const auto& [table_id, w] : txn.ops_) {
-    (void)w;
+void TxnCoordinator::DeleteIntents(const TxnLogRecord& rec) {
+  for (const TxnTableOps& ops : rec.tables) {
     Status s = store_->Delete(ctx_, options_.bucket,
-                              IntentObjectName(txn.uid_, table_id));
+                              IntentObjectName(rec.uid, ops.table_id));
     // Best effort by design: a committed transaction must never fail (or
     // look failed) because intent cleanup hit a fault. Orphans are counted
     // and reclaimed by GcOrphanedIntents.
@@ -315,20 +319,12 @@ Result<uint64_t> TxnCoordinator::Commit(LakehouseTxn* txn) {
     return meta_->LatestTxn();
   }
 
-  TxnLogRecord rec;
-  rec.uid = txn->uid_;
-  for (const auto& [table_id, w] : txn->ops_) {
-    TxnTableOps ops;
-    ops.table_id = table_id;
-    ops.adds = w.adds;
-    ops.removes = w.removes;
-    rec.tables.push_back(std::move(ops));
-  }
+  TxnLogRecord rec = txn->Record();
 
   txn->intents_written_ = true;
   Status intent_status = WriteIntents(*txn);
   if (!intent_status.ok()) {
-    DeleteIntents(*txn);
+    DeleteIntents(rec);
     txn->state_ = LakehouseTxn::State::kAborted;
     CountAbort("fault");
     return intent_status;
@@ -348,7 +344,7 @@ Result<uint64_t> TxnCoordinator::Commit(LakehouseTxn* txn) {
     Status s = TryAppend(*txn, &rec, &conflict);
     if (s.ok()) break;
     if (conflict) {
-      DeleteIntents(*txn);
+      DeleteIntents(rec);
       txn->state_ = LakehouseTxn::State::kAborted;
       CountAbort("conflict");
       return s;
@@ -364,7 +360,7 @@ Result<uint64_t> TxnCoordinator::Commit(LakehouseTxn* txn) {
       again = false;
     }
     if (!again) {
-      DeleteIntents(*txn);
+      DeleteIntents(rec);
       txn->state_ = LakehouseTxn::State::kAborted;
       CountAbort("fault");
       if (retryer.deadline_exhausted()) {
@@ -401,7 +397,7 @@ Result<uint64_t> TxnCoordinator::Commit(LakehouseTxn* txn) {
     }
   }
   BL_ASSIGN_OR_RETURN(uint64_t meta_txn, ApplyCommitted(rec));
-  DeleteIntents(*txn);
+  DeleteIntents(rec);
   metrics_->commits->Increment();
   env_->counters().Add("txn.commits", 1);
   span.AddNum("txn.tables", rec.tables.size());
@@ -416,7 +412,7 @@ Status TxnCoordinator::Abort(LakehouseTxn* txn) {
   if (txn->state_ != LakehouseTxn::State::kOpen) {
     return Status::FailedPrecondition("transaction is not open");
   }
-  if (txn->intents_written_) DeleteIntents(*txn);
+  if (txn->intents_written_) DeleteIntents(txn->Record());
   txn->state_ = LakehouseTxn::State::kAborted;
   CountAbort("user");
   return Status::OK();
@@ -439,15 +435,8 @@ Result<uint64_t> TxnCoordinator::ApplyBacklog(uint64_t before_seq) {
     if (rec.seq <= meta_->txn_log_applied_seq()) continue;
     if (rec.seq >= before_seq) break;
     for (const TxnTableOps& ops : rec.tables) meta_->EnsureTable(ops.table_id);
-    BL_ASSIGN_OR_RETURN(uint64_t meta_txn, ApplyCommitted(rec));
-    (void)meta_txn;
-    for (const TxnTableOps& ops : rec.tables) {
-      Status s = store_->Delete(ctx_, options_.bucket,
-                                IntentObjectName(rec.uid, ops.table_id));
-      if (!s.ok() && !s.IsNotFound()) {
-        env_->counters().Add("txn.intent_delete_failed", 1);
-      }
-    }
+    BL_RETURN_NOT_OK(ApplyCommitted(rec).status());
+    DeleteIntents(rec);
     ++applied;
   }
   if (applied > 0) {

@@ -152,15 +152,14 @@ class LakehouseTxn {
 
  private:
   friend class TxnCoordinator;
-  struct TableWrite {
-    std::vector<CachedFileMeta> adds;
-    std::vector<std::string> removes;
-  };
+
+  /// The log record this transaction commits (seq not yet assigned).
+  TxnLogRecord Record() const;
 
   TxnCoordinator* coord_ = nullptr;
   TxnSnapshot snapshot_;
   std::string uid_;
-  std::map<std::string, TableWrite> ops_;
+  std::map<std::string, TxnTableOps> ops_;
   State state_ = State::kOpen;
   bool intents_written_ = false;
 };
@@ -241,7 +240,8 @@ class TxnCoordinator {
   struct Metrics;
 
   Status WriteIntents(const LakehouseTxn& txn);
-  void DeleteIntents(const LakehouseTxn& txn);
+  /// Best-effort deletes the intents of `rec`'s transaction.
+  void DeleteIntents(const TxnLogRecord& rec);
   /// One CAS attempt: fault check, log read, conflict check, append.
   /// Sets `*conflict` when the transaction lost first-committer-wins (the
   /// returned kFailedPrecondition then must NOT be retried; an unset flag

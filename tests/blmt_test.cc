@@ -26,6 +26,20 @@ class BlmtTest : public LakehouseFixture {
     return def;
   }
 
+  /// Rows of `table_id` through a Read API scan over every stream; the
+  /// first failing stream's status otherwise.
+  Result<size_t> ReadApiRows(const std::string& table_id) {
+    BL_ASSIGN_OR_RETURN(ReadSession session,
+                        read_api_.CreateReadSession("u", table_id, {}));
+    size_t rows = 0;
+    for (size_t s = 0; s < session.streams.size(); ++s) {
+      BL_ASSIGN_OR_RETURN(RecordBatch batch,
+                          read_api_.ReadStreamBatch(session, s));
+      rows += batch.num_rows();
+    }
+    return rows;
+  }
+
   BlmtService blmt_;
   StorageWriteApi write_api_;
   StorageReadApi read_api_;
@@ -324,6 +338,17 @@ TEST_F(BlmtTest, WriteApiCrossStreamTransaction) {
   EXPECT_EQ(blmt_.ReadAll("ds.b", *txn - 1)->num_rows(), 0u);
 }
 
+TEST_F(BlmtTest, WriteApiBatchCommitOfARepeatedStreamCommitsItOnce) {
+  ASSERT_TRUE(blmt_.CreateTable(MakeBlmtDef("twice")).ok());
+  auto stream =
+      write_api_.CreateWriteStream("u", "ds.twice", WriteMode::kPending);
+  ASSERT_TRUE(stream.ok());
+  ASSERT_TRUE(write_api_.AppendRows(*stream, SalesBatch(9, 0, 1)).ok());
+  ASSERT_TRUE(write_api_.FinalizeStream(*stream).ok());
+  ASSERT_TRUE(write_api_.BatchCommit({*stream, *stream}).ok());
+  EXPECT_EQ(blmt_.ReadAll("ds.twice")->num_rows(), 9u);
+}
+
 TEST_F(BlmtTest, WriteApiRejectsWrongTableKindAndPrincipal) {
   StorageWriteApi api(&lake_);
   // Not a managed/BLMT table.
@@ -354,6 +379,62 @@ TEST_F(BlmtTest, BlmtReadableThroughReadApi) {
     rows += read_api_.ReadStreamBatch(*session, s)->num_rows();
   }
   EXPECT_EQ(rows, 20u);
+}
+
+// Data files are named from one counter per environment: writers of both
+// kinds, two instances each, never overwrite each other's committed files.
+TEST_F(BlmtTest, WritersOnOneEnvironmentNeverShareFileNames) {
+  ASSERT_TRUE(blmt_.CreateTable(MakeBlmtDef("streamed")).ok());
+  ASSERT_TRUE(blmt_.CreateTable(MakeBlmtDef("inserted")).ok());
+  StorageWriteApi api_a(&lake_), api_b(&lake_);
+  size_t streamed_rows = 0;
+  for (auto [api, rows] : {std::pair{&api_a, 10}, std::pair{&api_b, 15}}) {
+    auto stream =
+        api->CreateWriteStream("u", "ds.streamed", WriteMode::kPending);
+    ASSERT_TRUE(stream.ok());
+    ASSERT_TRUE(api->AppendRows(*stream, SalesBatch(rows, 0, 1)).ok());
+    ASSERT_TRUE(api->FinalizeStream(*stream).ok());
+    ASSERT_TRUE(api->BatchCommit({*stream}).ok());
+    streamed_rows += rows;
+  }
+  BlmtService blmt_a(&lake_), blmt_b(&lake_);
+  ASSERT_TRUE(blmt_a.Insert("u", "ds.inserted", SalesBatch(12, 0, 2)).ok());
+  ASSERT_TRUE(blmt_b.Insert("u", "ds.inserted", SalesBatch(7, 100, 3)).ok());
+
+  for (auto [table, rows] : {std::pair{"ds.streamed", streamed_rows},
+                             std::pair{"ds.inserted", size_t{19}}}) {
+    SCOPED_TRACE(table);
+    auto all = blmt_.ReadAll(table);
+    ASSERT_TRUE(all.ok()) << all.status().ToString();
+    EXPECT_EQ(all->num_rows(), rows);
+    auto scanned = ReadApiRows(table);
+    ASSERT_TRUE(scanned.ok()) << scanned.status().ToString();
+    EXPECT_EQ(*scanned, rows);
+  }
+}
+
+// A managed table's data file that does not parse is lost data: the Read API
+// scan fails with DataLoss (as BLMT ReadAll does) instead of skipping the
+// file as if it were a stray object under an external table's prefix.
+TEST_F(BlmtTest, CorruptManagedFileFailsReadApiScanWithDataLoss) {
+  ASSERT_TRUE(blmt_.CreateTable(MakeBlmtDef("bad")).ok());
+  ASSERT_TRUE(blmt_.Insert("u", "ds.bad", SalesBatch(30, 0, 1)).ok());
+  ASSERT_TRUE(blmt_.Insert("u", "ds.bad", SalesBatch(20, 100, 2)).ok());
+  ASSERT_EQ(*ReadApiRows("ds.bad"), 50u);
+
+  auto files = lake_.meta().Snapshot("ds.bad");
+  ASSERT_TRUE(files.ok());
+  const std::string& path = files->front().file.path;
+  auto bytes = store_->Get(GcpCaller(), "lake", path);
+  ASSERT_TRUE(bytes.ok());
+  bytes->back() ^= 0x5a;  // the trailer magic's last byte
+  ASSERT_TRUE(store_->Put(GcpCaller(), "lake", path, *bytes).ok());
+
+  auto scanned = ReadApiRows("ds.bad");
+  ASSERT_FALSE(scanned.ok());
+  EXPECT_EQ(scanned.status().code(), StatusCode::kDataLoss)
+      << scanned.status().ToString();
+  EXPECT_EQ(blmt_.ReadAll("ds.bad").status().code(), StatusCode::kDataLoss);
 }
 
 }  // namespace

@@ -146,6 +146,23 @@ class ResultCacheEngineTest : public LakehouseFixture {
     return opts;
   }
 
+  /// Live file paths of `table_id`, sorted.
+  std::set<std::string> LivePaths(const std::string& table_id) {
+    auto files = lake_.meta().Snapshot(table_id);
+    EXPECT_TRUE(files.ok());
+    std::set<std::string> paths;
+    if (files.ok()) {
+      for (const CachedFileMeta& f : *files) paths.insert(f.file.path);
+    }
+    return paths;
+  }
+
+  // Every commit path moves the snapshot generation (so the old key becomes
+  // unreachable) AND eagerly reclaims dependent entries via InvalidateTable,
+  // and drops every removed file's cached blocks and footer. After each
+  // mutation the cached engine must agree with a cache-free one.
+  void CheckEveryCommitPathInvalidates();
+
   StorageReadApi api_;
   BlmtService blmt_;
 };
@@ -263,13 +280,15 @@ TEST_F(ResultCacheEngineTest, DifferentPrincipalsNeverShareEntries) {
   EXPECT_EQ(end.entries, 2u);
 }
 
-// Every commit path moves the snapshot generation (so the old key becomes
-// unreachable) AND eagerly reclaims dependent entries via InvalidateTable.
-// After each mutation the cached engine must agree with a cache-free one.
-TEST_F(ResultCacheEngineTest, EveryCommitPathInvalidatesDependentEntries) {
+// The commit-path check runs with transactions off and on: both routes of
+// the one BLMT commit routine — direct, and through the txn log — must meet
+// the same assertions.
+void ResultCacheEngineTest::CheckEveryCommitPathInvalidates() {
   MakeBlmt("mut", "mut/");
   ASSERT_TRUE(blmt_.Insert("u", "ds.mut", SalesBatch(120, 0, 9)).ok());
-  QueryEngine engine(&lake_, &api_, CachedOptions());
+  EngineOptions cached = CachedOptions();
+  cached.enable_block_cache = true;
+  QueryEngine engine(&lake_, &api_, cached);
   EngineOptions plain;
   plain.num_workers = 2;
   plain.max_read_streams = 8;
@@ -282,9 +301,34 @@ TEST_F(ResultCacheEngineTest, EveryCommitPathInvalidatesDependentEntries) {
     ASSERT_TRUE(engine.Execute("u", Plan::Scan("ds.mut")).ok());  // warm it
     uint64_t inv_before = rc.Stats().invalidations;
     uint64_t hits_before = rc.Stats().hits;
+    const char* cloud = CloudProviderName(gcp_.provider);
+    auto footer_key = [&](const CachedFileMeta& f) {
+      return cache::FooterKey(
+          cache::ObjectKeyPrefix(cloud, "lake", f.file.path), f.generation);
+    };
+    auto files_before = lake_.meta().Snapshot("ds.mut");
+    ASSERT_TRUE(files_before.ok());
+    std::set<std::string> cached_before;
+    for (const CachedFileMeta& f : *files_before) {
+      if (lake_.block_cache().GetFooter(footer_key(f)) != nullptr) {
+        cached_before.insert(f.file.path);
+      }
+    }
     mutate();
     // The commit eagerly dropped the dependent entry...
     EXPECT_GT(rc.Stats().invalidations, inv_before);
+    // ...and every removed file's footer and blocks, which the cold scan
+    // had cached, left the block cache.
+    const std::set<std::string> live_after = LivePaths("ds.mut");
+    for (const CachedFileMeta& f : *files_before) {
+      if (live_after.count(f.file.path) > 0) continue;
+      EXPECT_EQ(cached_before.count(f.file.path), 1u) << f.file.path;
+      EXPECT_EQ(lake_.block_cache().GetFooter(footer_key(f)), nullptr)
+          << f.file.path;
+      EXPECT_EQ(
+          lake_.block_cache().InvalidateObject(cloud, "lake", f.file.path), 0u)
+          << f.file.path;
+    }
     // ...and the next scan is a miss that agrees with a cache-free engine.
     auto fresh = engine.Execute("u", Plan::Scan("ds.mut"));
     auto reference = uncached.Execute("u", Plan::Scan("ds.mut"));
@@ -341,6 +385,15 @@ TEST_F(ResultCacheEngineTest, EveryCommitPathInvalidatesDependentEntries) {
   ASSERT_TRUE(gc.ok()) << gc.status().ToString();
   ASSERT_GT(gc->objects_deleted, 0u);
   EXPECT_GT(rc.Stats().invalidations, inv_before);
+}
+
+TEST_F(ResultCacheEngineTest, EveryCommitPathInvalidatesDependentEntries) {
+  CheckEveryCommitPathInvalidates();
+}
+
+TEST_F(ResultCacheEngineTest, EveryTxnCommitPathInvalidatesDependentEntries) {
+  lake_.EnableTransactions(store_, "lake");
+  CheckEveryCommitPathInvalidates();
 }
 
 TEST_F(ResultCacheEngineTest, MultiTableQueryInvalidatedByEitherTable) {

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <memory>
 #include <set>
@@ -15,6 +16,9 @@
 #include <utility>
 #include <vector>
 
+#include "columnar/ipc.h"
+#include "common/coding.h"
+#include "common/strings.h"
 #include "core/blmt.h"
 #include "core/environment.h"
 #include "engine/engine.h"
@@ -27,6 +31,7 @@ namespace {
 using fault::FaultInjector;
 using fault::FaultPlan;
 using meta::LakehouseTxn;
+using meta::TxnCoordinator;
 using meta::TxnCrashPoint;
 using meta::TxnLogRecord;
 
@@ -475,6 +480,112 @@ TEST(TxnTest, CommitInvalidatesResultCacheAtomically) {
   ASSERT_TRUE(fresh.ok());
   EXPECT_EQ(w.lake.result_cache().Stats().hits, hits_before);  // miss
   EXPECT_EQ(fresh->batch.num_rows(), 9u);
+}
+
+// ---- Storage optimization --------------------------------------------------
+
+/// Sorted live paths of a snapshot.
+std::vector<std::string> Paths(
+    const Result<std::vector<CachedFileMeta>>& files) {
+  EXPECT_TRUE(files.ok());
+  std::vector<std::string> paths;
+  if (!files.ok()) return paths;
+  for (const CachedFileMeta& f : *files) paths.push_back(f.file.path);
+  std::sort(paths.begin(), paths.end());
+  return paths;
+}
+
+// OptimizeStorage is a rewrite, so on a transactional environment it commits
+// through the log like every other BLMT rewrite: replaying the log into an
+// empty store reproduces the optimized file set of a table written only by
+// transactions.
+TEST(TxnTest, OptimizeCommitsThroughTheLogSoReplayMatchesLive) {
+  TxnLakeWorld w;
+  for (int i = 0; i < 4; ++i) {
+    ASSERT_TRUE(w.blmt
+                    .MultiTableInsert("u", {{kOrders, w.TxnRows(i * 10, 10,
+                                                                 i + 1)}})
+                    .ok());
+  }
+  auto report = w.blmt.OptimizeStorage(kOrders);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(report->files_coalesced, 4u);
+  EXPECT_EQ(w.Ids(kOrders), Range(0, 40));
+
+  auto log = w.coord->ReadLog();
+  ASSERT_TRUE(log.ok());
+  ASSERT_EQ(log->size(), 5u);
+  ASSERT_EQ(log->back().tables.size(), 1u);
+  EXPECT_EQ(log->back().tables[0].removes.size(), 4u);
+  SimEnv fresh_env;
+  BigMetadataStore fresh(&fresh_env);
+  ASSERT_TRUE(TxnCoordinator::Replay(*log, &fresh).ok());
+  EXPECT_EQ(Paths(w.lake.meta().Snapshot(kOrders)),
+            Paths(fresh.Snapshot(kOrders)));
+}
+
+// ---- Log record decoding ---------------------------------------------------
+
+// A count larger than the bytes left cannot be honest (every element takes
+// at least one byte): the decoder reports DataLoss before sizing anything
+// from it, instead of throwing std::length_error or allocating 2^60 slots.
+TEST(TxnLogDecodeTest, CorruptCountIsDataLoss) {
+  const uint64_t kHuge = uint64_t{1} << 60;
+  for (int field = 0; field < 3; ++field) {
+    std::string bytes;
+    PutVarint64(&bytes, 1);             // seq
+    PutLengthPrefixed(&bytes, "t1");    // uid
+    PutVarint64(&bytes, field == 0 ? kHuge : 1);  // tables
+    PutLengthPrefixed(&bytes, kOrders);
+    PutVarint64(&bytes, field == 1 ? kHuge : 0);  // adds
+    PutVarint64(&bytes, field == 2 ? kHuge : 0);  // removes
+    Decoder dec(bytes);
+    TxnLogRecord rec;
+    Status s = meta::DecodeTxnLogRecord(&dec, &rec);
+    EXPECT_EQ(s.code(), StatusCode::kDataLoss) << field << ": " << s.ToString();
+  }
+  std::string schema;
+  PutVarint64(&schema, kHuge);
+  Decoder dec(schema);
+  EXPECT_EQ(DecodeSchema(&dec).status().code(), StatusCode::kDataLoss);
+}
+
+TEST(TxnLogDecodeTest, EveryTruncationOfAMultiTableRecordFailsCleanly) {
+  TxnLogRecord rec;
+  rec.seq = 7;
+  rec.uid = "t7";
+  for (const char* table : {kItems, kOrders}) {
+    meta::TxnTableOps ops;
+    ops.table_id = table;
+    CachedFileMeta f;
+    f.file.path = StrCat(table, "/data/blmt-3.plk");
+    f.file.size_bytes = 1234;
+    f.file.row_count = 10;
+    f.file.partition = {{"date", Value::Int64(20240101)}};
+    f.file.column_stats["id"] = {Value::Int64(0), Value::Int64(9), 0, 10, 10};
+    f.content_type = "application/x-parquet-lite";
+    f.create_time = 5;
+    f.generation = 2;
+    ops.adds.push_back(f);
+    ops.removes = {StrCat(table, "/data/blmt-1.plk"),
+                   StrCat(table, "/data/blmt-2.plk")};
+    rec.tables.push_back(std::move(ops));
+  }
+  std::string bytes;
+  meta::EncodeTxnLogRecord(&bytes, rec);
+
+  Decoder whole(bytes);
+  TxnLogRecord back;
+  ASSERT_TRUE(meta::DecodeTxnLogRecord(&whole, &back).ok());
+  std::string again;
+  meta::EncodeTxnLogRecord(&again, back);
+  EXPECT_EQ(again, bytes);
+
+  for (size_t n = 0; n < bytes.size(); ++n) {
+    Decoder dec(std::string_view(bytes).substr(0, n));
+    TxnLogRecord out;
+    EXPECT_FALSE(meta::DecodeTxnLogRecord(&dec, &out).ok()) << "prefix " << n;
+  }
 }
 
 }  // namespace
