@@ -55,6 +55,9 @@ struct TableDef {
   std::string bucket;
   std::string prefix;
   std::vector<std::string> partition_columns;
+  /// BigLake managed tables: storage optimization sorts rewritten rows by
+  /// these columns (reclustering), so later scans prune better.
+  std::vector<std::string> clustering;
 
   /// Governance.
   IamPolicy iam;       // who may query/modify the table at all

@@ -42,7 +42,7 @@ enum class FaultSite {
   kWriteCommit,   // Write API: stream flush / batch commit
   kVpnTransfer,   // Omni: one cross-realm VPN transfer
   kTxnIntent,     // txn coordinator: one write-intent manifest put
-  kTxnLog,        // txn coordinator: transaction-log read / CAS append
+  kTxnLog,        // txn coordinator: create-only put of one log record
   kNumFaultSites,
 };
 

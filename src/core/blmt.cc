@@ -35,10 +35,10 @@ void Stage(meta::LakehouseTxn* txn, const meta::TxnTableOps& ops) {
 Status BlmtService::CreateTable(TableDef def,
                                 std::vector<std::string> clustering) {
   def.kind = TableKind::kBigLakeManaged;
+  if (!clustering.empty()) def.clustering = std::move(clustering);
   std::string id = def.id();
   BL_RETURN_NOT_OK(env_->catalog().CreateTable(std::move(def)));
   env_->meta().EnsureTable(id);
-  clustering_[id] = std::move(clustering);
   return Status::OK();
 }
 
@@ -346,15 +346,13 @@ Result<OptimizeReport> BlmtService::OptimizeStorage(
   report.rows_rewritten = merged.num_rows();
 
   // Recluster: sort by the clustering columns so future scans prune better.
-  auto cit = clustering_.find(table_id);
-  if (cit != clustering_.end() && !cit->second.empty() &&
-      merged.num_rows() > 1) {
+  if (!table->clustering.empty() && merged.num_rows() > 1) {
     std::vector<uint32_t> order(merged.num_rows());
     for (size_t i = 0; i < order.size(); ++i) {
       order[i] = static_cast<uint32_t>(i);
     }
     std::vector<int> key_cols;
-    for (const auto& col : cit->second) {
+    for (const auto& col : table->clustering) {
       int idx = merged.schema()->FieldIndex(col);
       if (idx >= 0) key_cols.push_back(idx);
     }

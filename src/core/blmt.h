@@ -66,8 +66,9 @@ class BlmtService {
   explicit BlmtService(LakehouseEnv* env, BlmtOptions options = {})
       : env_(env), options_(options) {}
 
-  /// Creates a BLMT: catalog entry + Big Metadata table. `clustering`
-  /// columns drive reclustering during storage optimization.
+  /// Creates a BLMT: catalog entry + Big Metadata table. Non-empty
+  /// `clustering` replaces `def.clustering`, the columns that drive
+  /// reclustering during storage optimization.
   Status CreateTable(TableDef def, std::vector<std::string> clustering = {});
 
   /// INSERT: writes a data file and commits it (one metadata transaction).
@@ -201,7 +202,6 @@ class BlmtService {
 
   LakehouseEnv* env_;
   BlmtOptions options_;
-  std::map<std::string, std::vector<std::string>> clustering_;
 };
 
 }  // namespace biglake

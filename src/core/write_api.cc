@@ -123,6 +123,8 @@ Status StorageWriteApi::FinalizeStream(const std::string& stream_id) {
   if (stream.info.mode == WriteMode::kCommitted) {
     // Committed streams flush any remainder and are done.
     BL_RETURN_NOT_OK(FlushCommitted(&stream));
+    streams_.erase(it);
+    return Status::OK();
   }
   stream.info.finalized = true;
   return Status::OK();
@@ -158,8 +160,14 @@ Result<uint64_t> StorageWriteApi::BatchCommit(
   obs::MetricsRegistry::Default()
       .GetCounter(METRIC_WRITEAPI_COMMITS, {{"mode", "batch"}})
       ->Increment();
-  return CommitStreams(to_commit, stream_ids.empty() ? std::string("batch")
-                                                      : stream_ids.front());
+  BL_ASSIGN_OR_RETURN(
+      uint64_t txn,
+      CommitStreams(to_commit, stream_ids.empty() ? std::string("batch")
+                                                  : stream_ids.front()));
+  // Committed streams are done: a retried BatchCommit of them is NotFound
+  // and cannot commit their rows twice.
+  for (const auto& id : stream_ids) streams_.erase(id);
+  return txn;
 }
 
 Result<WriteStreamInfo> StorageWriteApi::GetStream(

@@ -12,6 +12,13 @@
 //
 // Exactly-once: every append may carry an explicit offset; re-sent offsets
 // are acknowledged without duplicating rows (the retry-safe contract).
+//
+// A stream's state lives only while the stream can still change: a pending
+// stream is forgotten once BatchCommit commits it, a committed-mode stream
+// once FinalizeStream flushes it. Every call on a forgotten stream,
+// GetStream included, returns NotFound, so a retried BatchCommit never
+// commits rows twice and a long-running writer holds no state for streams
+// that are done.
 
 #ifndef BIGLAKE_CORE_WRITE_API_H_
 #define BIGLAKE_CORE_WRITE_API_H_
@@ -66,13 +73,17 @@ class StorageWriteApi {
                               const RecordBatch& batch,
                               std::optional<uint64_t> offset = std::nullopt);
 
-  /// Seals a pending stream; no further appends.
+  /// Seals a pending stream; no further appends. A committed-mode stream
+  /// flushes its remainder and is forgotten.
   Status FinalizeStream(const std::string& stream_id);
 
   /// Atomically commits finalized pending streams (possibly spanning
-  /// multiple tables) in one metadata transaction. Returns the txn id.
+  /// multiple tables) in one metadata transaction and forgets them. Returns
+  /// the txn id.
   Result<uint64_t> BatchCommit(const std::vector<std::string>& stream_ids);
 
+  /// The stream's state; NotFound once it was committed or finalized as
+  /// described in the header comment.
   Result<WriteStreamInfo> GetStream(const std::string& stream_id) const;
 
  private:

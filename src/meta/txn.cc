@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdio>
 #include <set>
 
 #include "common/coding.h"
@@ -74,24 +75,6 @@ Status DecodeTxnLogRecord(Decoder* dec, TxnLogRecord* out) {
   }
   return Status::OK();
 }
-
-namespace {
-
-Result<std::vector<TxnLogRecord>> DecodeLog(std::string_view bytes) {
-  std::vector<TxnLogRecord> records;
-  Decoder dec(bytes);
-  while (!dec.done()) {
-    std::string_view framed;
-    BL_RETURN_NOT_OK(dec.GetLengthPrefixed(&framed));
-    Decoder rec_dec(framed);
-    TxnLogRecord rec;
-    BL_RETURN_NOT_OK(DecodeTxnLogRecord(&rec_dec, &rec));
-    records.push_back(std::move(rec));
-  }
-  return records;
-}
-
-}  // namespace
 
 void LakehouseTxn::AddFiles(const std::string& table_id,
                             std::vector<CachedFileMeta> files) {
@@ -239,24 +222,14 @@ void TxnCoordinator::DeleteIntents(const TxnLogRecord& rec) {
 Status TxnCoordinator::TryAppend(const LakehouseTxn& txn, TxnLogRecord* rec,
                                  bool* conflict) {
   const char* cloud = CloudProviderName(store_->location().provider);
-  const std::string log_name = LogObjectName();
-  BL_RETURN_NOT_OK(CheckFault(env_, FaultSite::kTxnLog, cloud, log_name));
-  uint64_t log_gen = 0;
-  std::string log_bytes;
-  Result<ObjectMetadata> stat = store_->Stat(ctx_, options_.bucket, log_name);
-  if (stat.ok()) {
-    log_gen = stat->generation;
-    BL_ASSIGN_OR_RETURN(log_bytes,
-                        store_->Get(ctx_, options_.bucket, log_name));
-  } else if (!stat.status().IsNotFound()) {
-    return stat.status();
-  }
-  BL_ASSIGN_OR_RETURN(std::vector<TxnLogRecord> records,
-                      DecodeLog(log_bytes));
-  rec->seq = records.empty() ? 1 : records.back().seq + 1;
+  rec->seq = meta_->txn_log_applied_seq() + 1;
+  const std::string name = RecordObjectName(rec->seq);
+  BL_RETURN_NOT_OK(CheckFault(env_, FaultSite::kTxnLog, cloud, name));
 
   // First-committer-wins at file granularity: every staged remove must still
-  // be live. Appends (empty removes) can never conflict.
+  // be live. Appends (empty removes) can never conflict. The check reads Big
+  // Metadata as of the applied watermark; when the put below succeeds, no
+  // record lies beyond that watermark, so the check saw every commit.
   for (const TxnTableOps& ops : rec->tables) {
     if (!meta_->HasTable(ops.table_id)) {
       *conflict = true;
@@ -281,11 +254,10 @@ Status TxnCoordinator::TryAppend(const LakehouseTxn& txn, TxnLogRecord* rec,
 
   std::string encoded;
   EncodeTxnLogRecord(&encoded, *rec);
-  PutLengthPrefixed(&log_bytes, encoded);
   PutOptions put_opts;
-  put_opts.if_generation_match = log_gen;  // 0 = create
+  put_opts.if_generation_match = 0;  // create-only: the commit point
   return store_
-      ->Put(ctx_, options_.bucket, log_name, std::move(log_bytes), put_opts)
+      ->Put(ctx_, options_.bucket, name, std::move(encoded), put_opts)
       .status();
 }
 
@@ -338,7 +310,7 @@ Result<uint64_t> TxnCoordinator::Commit(LakehouseTxn* txn) {
   }
 
   fault::Retryer retryer(env_, options_.retry, FaultSite::kTxnLog,
-                         LogObjectName());
+                         options_.prefix + "log/");
   for (;;) {
     bool conflict = false;
     Status s = TryAppend(*txn, &rec, &conflict);
@@ -349,10 +321,15 @@ Result<uint64_t> TxnCoordinator::Commit(LakehouseTxn* txn) {
       CountAbort("conflict");
       return s;
     }
+    if (s.code() == StatusCode::kFailedPrecondition) {
+      // Lost the create-only put: a predecessor's record holds this seq but
+      // is not applied yet. Apply it and any after it in seq order, so the
+      // next attempt re-checks conflicts against every commit.
+      Status caught_up = Recover().status();
+      if (!caught_up.ok()) s = caught_up;
+    }
     bool again;
     if (s.code() == StatusCode::kFailedPrecondition) {
-      // Store-level CAS race (another committer advanced the log between our
-      // read and put): reload and re-run the conflict check immediately.
       again = retryer.RetryImmediately();
     } else if (IsRetryable(s)) {
       again = retryer.BackoffAndRetry();
@@ -379,22 +356,7 @@ Result<uint64_t> TxnCoordinator::Commit(LakehouseTxn* txn) {
     // No abort accounting: the transaction IS committed; Recover() will
     // apply it and count it as recovered.
     return Status::Cancelled(
-        "simulated crash after txn-log append (committed, unapplied)");
-  }
-  if (rec.seq > meta_->txn_log_applied_seq() + 1) {
-    // A predecessor committed (its record is in the log) but died before
-    // applying to Big Metadata. Catch up in log order first — the applied
-    // watermark is a high-water mark, so applying out of order would strand
-    // the predecessor's writes forever.
-    Result<uint64_t> lagged = ApplyBacklog(rec.seq);
-    if (!lagged.ok()) {
-      // Post-commit-point infrastructure failure: morally a crash. The
-      // record is durable; Recover() finishes the job.
-      return Status::Cancelled(
-          StrCat("txn ", txn->uid_, " committed at seq ", rec.seq,
-                 " but predecessor catch-up failed (run Recover): ",
-                 lagged.status().ToString()));
-    }
+        "simulated crash after txn-log record put (committed, unapplied)");
   }
   BL_ASSIGN_OR_RETURN(uint64_t meta_txn, ApplyCommitted(rec));
   DeleteIntents(rec);
@@ -418,37 +380,70 @@ Status TxnCoordinator::Abort(LakehouseTxn* txn) {
   return Status::OK();
 }
 
-Result<std::vector<TxnLogRecord>> TxnCoordinator::ReadLog() const {
-  Result<std::string> bytes =
-      store_->Get(ctx_, options_.bucket, LogObjectName());
-  if (!bytes.ok()) {
-    if (bytes.status().IsNotFound()) return std::vector<TxnLogRecord>{};
-    return bytes.status();
-  }
-  return DecodeLog(*bytes);
+std::string TxnCoordinator::RecordObjectName(uint64_t seq) const {
+  char digits[21];
+  std::snprintf(digits, sizeof(digits), "%020llu",
+                static_cast<unsigned long long>(seq));
+  return StrCat(options_.prefix, "log/", digits);
 }
 
-Result<uint64_t> TxnCoordinator::ApplyBacklog(uint64_t before_seq) {
-  BL_ASSIGN_OR_RETURN(std::vector<TxnLogRecord> records, ReadLog());
-  uint64_t applied = 0;
-  for (const TxnLogRecord& rec : records) {
-    if (rec.seq <= meta_->txn_log_applied_seq()) continue;
-    if (rec.seq >= before_seq) break;
-    for (const TxnTableOps& ops : rec.tables) meta_->EnsureTable(ops.table_id);
-    BL_RETURN_NOT_OK(ApplyCommitted(rec).status());
-    DeleteIntents(rec);
-    ++applied;
+Result<TxnLogRecord> TxnCoordinator::ReadRecord(uint64_t seq) const {
+  BL_ASSIGN_OR_RETURN(std::string bytes,
+                      store_->Get(ctx_, options_.bucket, RecordObjectName(seq)));
+  // The object must hold exactly one record, carrying the seq of its name.
+  Decoder dec(bytes);
+  TxnLogRecord rec;
+  Status s = DecodeTxnLogRecord(&dec, &rec);
+  if (!s.ok()) {
+    return Status::DataLoss(
+        StrCat("txn log record ", seq, " is corrupt: ", s.message()));
   }
-  if (applied > 0) {
-    metrics_->recovered->Add(applied);
-    env_->counters().Add("txn.recovered", applied);
+  if (!dec.done()) {
+    return Status::DataLoss(StrCat("txn log record ", seq, " has ",
+                                   dec.remaining(), " trailing bytes"));
   }
-  return applied;
+  if (rec.seq != seq) {
+    return Status::DataLoss(
+        StrCat("txn log record ", seq, " decodes as seq ", rec.seq));
+  }
+  return rec;
+}
+
+Result<std::vector<TxnLogRecord>> TxnCoordinator::ReadLog() const {
+  BL_ASSIGN_OR_RETURN(
+      std::vector<ObjectMetadata> objects,
+      store_->ListAll(ctx_, options_.bucket, options_.prefix + "log/"));
+  std::vector<TxnLogRecord> records;
+  records.reserve(objects.size());
+  for (const ObjectMetadata& obj : objects) {
+    // Zero-padded names list in seq order; any other name, or a gap, means
+    // the log is not what this coordinator wrote.
+    const uint64_t seq = records.size() + 1;
+    if (obj.name != RecordObjectName(seq)) {
+      return Status::DataLoss(StrCat("txn log object `", obj.name,
+                                     "` found where record ", seq,
+                                     " belongs"));
+    }
+    BL_ASSIGN_OR_RETURN(TxnLogRecord rec, ReadRecord(seq));
+    records.push_back(std::move(rec));
+  }
+  return records;
 }
 
 Result<uint64_t> TxnCoordinator::Recover() {
   obs::ScopedSpan span("txn:recover", obs::Span::kRpc);
-  return ApplyBacklog(UINT64_MAX);
+  uint64_t applied = 0;
+  for (;;) {
+    Result<TxnLogRecord> rec = ReadRecord(meta_->txn_log_applied_seq() + 1);
+    if (rec.status().IsNotFound()) return applied;
+    BL_RETURN_NOT_OK(rec.status());
+    for (const TxnTableOps& ops : rec->tables) meta_->EnsureTable(ops.table_id);
+    BL_RETURN_NOT_OK(ApplyCommitted(*rec).status());
+    DeleteIntents(*rec);
+    ++applied;
+    metrics_->recovered->Increment();
+    env_->counters().Add("txn.recovered", 1);
+  }
 }
 
 Result<uint64_t> TxnCoordinator::GcOrphanedIntents() {

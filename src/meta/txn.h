@@ -10,11 +10,13 @@
 //      files are written eagerly (they are invisible until commit — Big
 //      Metadata is the source of truth for liveness).
 //   3. Commit writes one *write-intent manifest* object per touched table
-//      (`<prefix>intents/<uid>/<table>`), then appends one record to the
-//      per-catalog *transaction log* object (`<prefix>log`) with a single
-//      object-store CAS. The CAS is the commit point: a transaction is
-//      committed iff its record is in the log.
-//   4. After the CAS the coordinator applies the record to Big Metadata as
+//      (`<prefix>intents/<uid>/<table>`), then writes its one log record as
+//      a new object `<prefix>log/<seq>` (seq zero-padded, so listing order
+//      is seq order) with a create-only put at seq = applied watermark + 1.
+//      That put is the CAS and the commit point: a transaction is committed
+//      iff its record object exists. A commit never reads or rewrites the
+//      records before it, so its cost does not grow with the log.
+//   4. After the put the coordinator applies the record to Big Metadata as
 //      one MetaTransaction (all tables get the same metadata txn id — atomic
 //      cross-table visibility), advances the store's applied-seq watermark,
 //      fires the cache-invalidation hook (result + block caches drop stale
@@ -24,9 +26,13 @@
 //
 // Conflicts — first committer wins, at file granularity: data files are
 // immutable, so two transactions conflict iff one removes a file the other
-// already removed (DELETE/UPDATE rewrites of overlapping files). Inside the
-// CAS loop the coordinator re-checks that every staged remove is still live;
-// a miss aborts the transaction with kFailedPrecondition (deliberately
+// already removed (DELETE/UPDATE rewrites of overlapping files). Before each
+// put the coordinator checks that every staged remove is still live in Big
+// Metadata. A put that loses (the seq is taken by a committed record that is
+// not applied yet) first applies every record from the watermark on, in seq
+// order, then re-runs the check at the next seq: the check always sees every
+// commit before the one it races for. A miss aborts the transaction with
+// kFailedPrecondition (deliberately
 // *not* retryable — the caller must begin a fresh transaction on a new
 // snapshot, it must not replay the same doomed write set). Pure appends
 // never conflict, which also keeps the single-table INSERT fast path (which
@@ -35,10 +41,13 @@
 // Crash safety: every object-store step is fault-injectable (FaultSite::
 // kTxnIntent / kTxnLog plus the store's own kObjCas) and the coordinator can
 // simulate a crash at either side of the commit point (CrashPoint). A crash
-// before the CAS leaves only orphaned intents (GC'd by age); a crash after
-// the CAS leaves a committed-but-unapplied record that Recover() replays
-// from the applied-seq watermark. Replaying the full log into an empty
-// store reproduces byte-identical table snapshots (tests/txn_property_test).
+// before the put leaves only orphaned intents (GC'd by age); a crash after
+// it leaves a committed-but-unapplied record that Recover() (or the next
+// commit's lost put) applies by reading forward from the applied-seq
+// watermark until a record object is NotFound: O(unapplied records).
+// Replaying the full log into an empty store reproduces byte-identical table
+// snapshots (tests/txn_property_test). Only ReadLog, GcOrphanedIntents and
+// Replay touch the whole history, and no commit calls them.
 
 #ifndef BIGLAKE_META_TXN_H_
 #define BIGLAKE_META_TXN_H_
@@ -77,7 +86,7 @@ struct TxnTableOps {
 };
 
 /// One committed transaction in the log. `seq` is the record's 1-based
-/// position; `uid` names its intent objects.
+/// position and names its object; `uid` names its intent objects.
 struct TxnLogRecord {
   uint64_t seq = 0;
   std::string uid;
@@ -95,17 +104,19 @@ Status DecodeTxnLogRecord(Decoder* dec, TxnLogRecord* out);
 enum class TxnCrashPoint {
   kNone = 0,
   kAfterIntents,  // intents durable, log untouched: txn is NOT committed
-  kAfterLogCas,   // record in log, metadata unapplied: txn IS committed
+  kAfterLogCas,   // record object put, metadata unapplied: txn IS committed
 };
 
 struct TxnCoordinatorOptions {
-  /// Bucket holding the txn log + intent manifests (usually the lake's own).
+  /// Bucket holding the txn log records + intent manifests (usually the
+  /// lake's own).
   std::string bucket;
   /// Object-name prefix for coordinator state.
   std::string prefix = "_txn/";
-  /// Retry policy for intent puts and the log CAS loop. Commits against a
-  /// hot log ride the store's per-object mutation rate limit, so the loop
-  /// needs more headroom than the 4-attempt substrate default.
+  /// Retry policy for intent puts and the record-put loop. One attempt of
+  /// that loop can fail at the kTxnLog site, at the store's kObjCas site or
+  /// in a catch-up GET, or lose its seq to a predecessor, so it gets more
+  /// headroom than the 4-attempt substrate default.
   fault::RetryPolicy retry = [] {
     fault::RetryPolicy p;
     p.max_attempts = 8;
@@ -202,9 +213,13 @@ class TxnCoordinator {
   Status Abort(LakehouseTxn* txn);
 
   /// Applies committed-but-unapplied log records (seq beyond the store's
-  /// applied watermark), fires the invalidation hook for each, and deletes
-  /// their intents. Returns how many records were applied. Call after a
-  /// simulated crash — or harmlessly any time.
+  /// applied watermark) in seq order, fires the invalidation hook for each,
+  /// and deletes their intents. Reads forward from the watermark, so it
+  /// costs one GET per unapplied record plus one NotFound probe. Returns how
+  /// many records were applied. Call after a simulated crash — or harmlessly
+  /// any time; Commit calls it after losing its record put. Records MUST
+  /// apply in seq order: the applied watermark is a high-water mark.
+  /// DataLoss when a record object is corrupt.
   Result<uint64_t> Recover();
 
   /// Deletes intent objects that are either committed (their uid is in the
@@ -213,7 +228,10 @@ class TxnCoordinator {
   /// many objects were deleted.
   Result<uint64_t> GcOrphanedIntents();
 
-  /// Decodes the full transaction log (record order = commit order).
+  /// Decodes the full transaction log (record order = commit order): one
+  /// LIST plus one GET per record, O(history), never on the commit path.
+  /// DataLoss when a record object is corrupt, carries another seq than its
+  /// name, or the record names are not exactly 1..n.
   Result<std::vector<TxnLogRecord>> ReadLog() const;
 
   /// Replays `records` (in order) into `target`, creating tables as needed —
@@ -230,7 +248,8 @@ class TxnCoordinator {
   }
 
   const TxnCoordinatorOptions& options() const { return options_; }
-  std::string LogObjectName() const { return options_.prefix + "log"; }
+  /// `<prefix>log/<seq>`, seq zero-padded to 20 digits.
+  std::string RecordObjectName(uint64_t seq) const;
   std::string IntentObjectName(const std::string& uid,
                                const std::string& table_id) const {
     return options_.prefix + "intents/" + uid + "/" + table_id;
@@ -242,19 +261,15 @@ class TxnCoordinator {
   Status WriteIntents(const LakehouseTxn& txn);
   /// Best-effort deletes the intents of `rec`'s transaction.
   void DeleteIntents(const TxnLogRecord& rec);
-  /// One CAS attempt: fault check, log read, conflict check, append.
-  /// Sets `*conflict` when the transaction lost first-committer-wins (the
-  /// returned kFailedPrecondition then must NOT be retried; an unset flag
-  /// with kFailedPrecondition is a store-level CAS race — reload and retry).
+  /// One commit attempt at seq = applied watermark + 1: fault check,
+  /// conflict check, create-only put of the record object. Sets `*conflict`
+  /// when the transaction lost first-committer-wins (the returned
+  /// kFailedPrecondition then must NOT be retried; an unset flag with
+  /// kFailedPrecondition means the seq is taken — catch up and retry).
   Status TryAppend(const LakehouseTxn& txn, TxnLogRecord* rec, bool* conflict);
-  /// Applies committed-but-unapplied log records with seq < `before_seq`,
-  /// in log order, reclaiming their intents. Log records MUST apply in seq
-  /// order: the applied watermark is a high-water mark, so applying N+1
-  /// while N (a predecessor that crashed between its CAS and its apply) is
-  /// still pending would strand N's writes forever. Commit calls this
-  /// before applying its own record whenever it detects a gap; Recover is
-  /// this with no bound.
-  Result<uint64_t> ApplyBacklog(uint64_t before_seq);
+  /// GETs and decodes record `seq`: NotFound when it does not exist,
+  /// DataLoss when it does not decode to its end or carries another seq.
+  Result<TxnLogRecord> ReadRecord(uint64_t seq) const;
   /// Post-commit-point: metadata apply + watermark + invalidation hook.
   Result<uint64_t> ApplyCommitted(const TxnLogRecord& rec);
   void CountAbort(const char* reason);

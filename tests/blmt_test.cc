@@ -171,6 +171,31 @@ TEST_F(BlmtTest, OptimizeCoalescesSmallFiles) {
   EXPECT_EQ(snap->size(), report->files_after);
 }
 
+// Clustering columns live in the catalog, so any BlmtService on the
+// environment reclusters the table, not only the one that created it.
+TEST_F(BlmtTest, SecondServiceReclustersOnOptimize) {
+  ASSERT_TRUE(blmt_.CreateTable(MakeBlmtDef("clus"), {"id"}).ok());
+  EXPECT_EQ((*lake_.catalog().GetTable("ds.clus"))->clustering,
+            std::vector<std::string>{"id"});
+  for (int i = 0; i < 8; ++i) {
+    ASSERT_TRUE(
+        blmt_.Insert("u", "ds.clus", SalesBatch(10, (7 - i) * 10, i)).ok());
+  }
+  BlmtService other(&lake_);
+  auto report = other.OptimizeStorage("ds.clus");
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(report->files_coalesced, 8u);
+  EXPECT_EQ(report->files_after, 1u);
+  auto all = blmt_.ReadAll("ds.clus");
+  ASSERT_TRUE(all.ok());
+  auto ids = all->ColumnByName("id");
+  ASSERT_TRUE(ids.ok());
+  std::vector<int64_t> got = (*ids)->Decode().int64_data().ToVector();
+  std::vector<int64_t> want(80);
+  for (int64_t i = 0; i < 80; ++i) want[i] = i;
+  EXPECT_EQ(got, want);  // in clustering order, not insert order
+}
+
 TEST_F(BlmtTest, OptimizeNoopOnWellSizedTable) {
   BlmtOptions opts;
   opts.small_file_bytes = 16;  // nothing is "small"
@@ -347,6 +372,38 @@ TEST_F(BlmtTest, WriteApiBatchCommitOfARepeatedStreamCommitsItOnce) {
   ASSERT_TRUE(write_api_.FinalizeStream(*stream).ok());
   ASSERT_TRUE(write_api_.BatchCommit({*stream, *stream}).ok());
   EXPECT_EQ(blmt_.ReadAll("ds.twice")->num_rows(), 9u);
+}
+
+// Stream state lives only while a stream can change: committed pending
+// streams and finalized committed-mode streams are forgotten, so a
+// long-running writer holds nothing per stream and a retried BatchCommit
+// cannot commit twice.
+TEST_F(BlmtTest, WriteApiForgetsCommittedStreams) {
+  ASSERT_TRUE(blmt_.CreateTable(MakeBlmtDef("many")).ok());
+  std::string first;
+  for (int i = 0; i < 2000; ++i) {
+    auto stream =
+        write_api_.CreateWriteStream("u", "ds.many", WriteMode::kPending);
+    ASSERT_TRUE(stream.ok());
+    if (i == 0) first = *stream;
+    ASSERT_TRUE(write_api_.AppendRows(*stream, SalesBatch(1, i, i)).ok());
+    ASSERT_TRUE(write_api_.FinalizeStream(*stream).ok());
+    ASSERT_TRUE(write_api_.BatchCommit({*stream}).ok());
+  }
+  const uint64_t latest = lake_.meta().LatestTxn();
+  EXPECT_TRUE(write_api_.GetStream(first).status().IsNotFound());
+  EXPECT_TRUE(write_api_.BatchCommit({first}).status().IsNotFound());
+  EXPECT_EQ(lake_.meta().LatestTxn(), latest);  // no second commit
+  EXPECT_EQ(blmt_.ReadAll("ds.many")->num_rows(), 2000u);
+
+  auto committed =
+      write_api_.CreateWriteStream("u", "ds.many", WriteMode::kCommitted);
+  ASSERT_TRUE(committed.ok());
+  ASSERT_TRUE(write_api_.AppendRows(*committed, SalesBatch(3, 0, 1)).ok());
+  EXPECT_TRUE(write_api_.GetStream(*committed).ok());
+  ASSERT_TRUE(write_api_.FinalizeStream(*committed).ok());
+  EXPECT_TRUE(write_api_.GetStream(*committed).status().IsNotFound());
+  EXPECT_EQ(blmt_.ReadAll("ds.many")->num_rows(), 2003u);
 }
 
 TEST_F(BlmtTest, WriteApiRejectsWrongTableKindAndPrincipal) {

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <map>
 #include <memory>
 #include <set>
@@ -23,6 +24,8 @@
 #include "core/environment.h"
 #include "engine/engine.h"
 #include "fault/fault.h"
+#include "obs/metric_names.h"
+#include "obs/metrics.h"
 #include "lakehouse_fixture.h"
 
 namespace biglake {
@@ -212,6 +215,44 @@ TEST(TxnTest, FirstCommitterWinsOnOverlappingRewrites) {
   EXPECT_EQ(w.Tags(kOrders), (std::set<int64_t>{1, 9}));
 }
 
+// Regression (stale-snapshot class): a rewrite whose predecessor rewrote the
+// same file, committed, and crashed before applying must conflict. The
+// conflict check has to see every committed record, so the coordinator
+// applies the predecessor's record before it checks, not after.
+TEST(TxnTest, RewriteAfterCrashedPredecessorRewriteConflicts) {
+  TxnLakeWorld w;
+  ASSERT_TRUE(w.blmt.MultiTableInsert("u", {{kOrders, w.TxnRows(0, 20, 1)}})
+                  .ok());
+
+  auto t1 = w.blmt.BeginTransaction({kOrders});
+  ASSERT_TRUE(t1.ok());
+  ASSERT_TRUE(w.blmt.TxnDelete(t1->get(), "u", kOrders, IdLt(10)).ok());
+  w.coord->set_crash_point(TxnCrashPoint::kAfterLogCas);
+  ASSERT_EQ(w.blmt.CommitTransaction(t1->get()).status().code(),
+            StatusCode::kCancelled);
+  EXPECT_EQ((*t1)->state(), LakehouseTxn::State::kCommitted);
+
+  // t2 pins a snapshot that still shows the file t1 rewrote.
+  auto t2 = w.blmt.BeginTransaction({kOrders});
+  ASSERT_TRUE(t2.ok());
+  auto upd = w.blmt.TxnUpdate(t2->get(), "u", kOrders, IdLt(5),
+                              {{"tag", Value::Int64(9)}});
+  ASSERT_TRUE(upd.ok()) << upd.status().ToString();
+  EXPECT_EQ(*upd, 5u);
+  auto s = w.blmt.CommitTransaction(t2->get());
+  ASSERT_FALSE(s.ok());
+  EXPECT_EQ(s.status().code(), StatusCode::kFailedPrecondition)
+      << s.status().ToString();
+  EXPECT_EQ((*t2)->state(), LakehouseTxn::State::kAborted);
+
+  // t1 applied exactly once; t2 left no trace.
+  EXPECT_EQ(w.Ids(kOrders), Range(10, 10));
+  EXPECT_EQ(w.Tags(kOrders), (std::set<int64_t>{1}));
+  EXPECT_EQ(w.lake.meta().txn_log_applied_seq(), 2u);
+  EXPECT_EQ(w.coord->ReadLog()->size(), 2u);
+  EXPECT_EQ(w.IntentCount(), 0u);
+}
+
 TEST(TxnTest, ConcurrentAppendsNeverConflict) {
   TxnLakeWorld w;
   auto t1 = w.blmt.BeginTransaction({kOrders, kItems});
@@ -370,6 +411,112 @@ TEST(TxnTest, SuccessorCommitAppliesCrashedPredecessorFirst) {
   auto g1 = w.lake.meta().TableGeneration(kItems);
   ASSERT_TRUE(g1.ok());
   EXPECT_EQ(w.Tags(kOrders, *g1), (std::set<int64_t>{1}));
+}
+
+// ---- Commit cost -----------------------------------------------------------
+
+/// One object-store counter of the default registry (the gcp store's).
+uint64_t StoreCounter(const char* name, const obs::LabelSet& labels = {}) {
+  obs::LabelSet all = labels;
+  all.emplace_back("cloud", "gcp");
+  return obs::MetricsRegistry::Default().GetCounter(name, all)->Value();
+}
+
+/// What one object-store interaction costs: bytes each way and requests.
+struct StoreTraffic {
+  uint64_t read_bytes = 0, write_bytes = 0;
+  std::map<std::string, uint64_t> requests;  // by op
+
+  static StoreTraffic Now() {
+    StoreTraffic t;
+    t.read_bytes = StoreCounter(METRIC_OBJSTORE_READ_BYTES);
+    t.write_bytes = StoreCounter(METRIC_OBJSTORE_WRITE_BYTES);
+    for (const char* op : {"put", "get", "get_range", "stat", "delete",
+                           "list"}) {
+      t.requests[op] = StoreCounter(METRIC_OBJSTORE_REQUESTS, {{"op", op}});
+    }
+    return t;
+  }
+  StoreTraffic Since(const StoreTraffic& before) const {
+    StoreTraffic d;
+    d.read_bytes = read_bytes - before.read_bytes;
+    d.write_bytes = write_bytes - before.write_bytes;
+    for (const auto& [op, n] : requests) {
+      d.requests[op] = n - before.requests.at(op);
+    }
+    return d;
+  }
+};
+
+/// Commits one coordinator-level transaction that adds one synthetic file
+/// (no data object is written) to ds.orders.
+Result<uint64_t> CommitSyntheticAppend(TxnLakeWorld& w, int n) {
+  BL_ASSIGN_OR_RETURN(std::unique_ptr<LakehouseTxn> txn,
+                      w.coord->BeginTransaction({kOrders}));
+  CachedFileMeta f;
+  char name[32];
+  std::snprintf(name, sizeof(name), "orders/data/s-%06d.plk", n);
+  f.file.path = name;
+  f.file.size_bytes = 100;
+  f.file.row_count = 1;
+  txn->AddFiles(kOrders, {f});
+  return w.coord->Commit(txn.get());
+}
+
+// A commit writes one record object and reads no history, so its
+// object-store traffic does not grow with the log. Recovery reads forward
+// from the applied watermark: one GET per unapplied record plus one NotFound
+// probe, however long the log is.
+TEST(TxnTest, CommitCostIsFlatInLogLength) {
+  TxnLakeWorld w;
+  int n = 0;
+  auto commit_at = [&](int prior) {
+    while (n < prior) {
+      EXPECT_TRUE(CommitSyntheticAppend(w, n++).ok());
+    }
+    const StoreTraffic before = StoreTraffic::Now();
+    EXPECT_TRUE(CommitSyntheticAppend(w, n++).ok());
+    return StoreTraffic::Now().Since(before);
+  };
+  const StoreTraffic at_10 = commit_at(10);
+  const StoreTraffic at_1000 = commit_at(1000);
+  EXPECT_EQ(at_10.read_bytes, 0u);
+  EXPECT_EQ(at_1000.read_bytes, at_10.read_bytes);
+  EXPECT_EQ(at_1000.requests, at_10.requests);
+  // One record put, one intent put, one intent delete.
+  EXPECT_EQ(at_10.requests.at("put"), 2u);
+  EXPECT_EQ(at_10.requests.at("delete"), 1u);
+  // Written bytes are equal up to the widths of the counters a record and
+  // its intent carry (seq, uid and snapshot txn go from two to four
+  // digits): 8 bytes at most. Rewriting the log would add every prior
+  // record.
+  EXPECT_GE(at_1000.write_bytes, at_10.write_bytes);
+  EXPECT_LE(at_1000.write_bytes, at_10.write_bytes + 8);
+
+  // Crash the next commit after its record put, then recover.
+  auto txn = w.coord->BeginTransaction({kOrders});
+  ASSERT_TRUE(txn.ok());
+  CachedFileMeta f;
+  f.file.path = "orders/data/s-crashed.plk";
+  (*txn)->AddFiles(kOrders, {f});
+  w.coord->set_crash_point(TxnCrashPoint::kAfterLogCas);
+  ASSERT_EQ(w.coord->Commit(txn->get()).status().code(),
+            StatusCode::kCancelled);
+  const uint64_t seq = w.lake.meta().txn_log_applied_seq() + 1;
+  EXPECT_EQ(seq, 1002u);
+  auto record = w.store->Stat(CallerContext{.location = w.gcp}, "lake",
+                              w.coord->RecordObjectName(seq));
+  ASSERT_TRUE(record.ok()) << record.status().ToString();
+
+  const StoreTraffic before = StoreTraffic::Now();
+  auto recovered = w.coord->Recover();
+  const StoreTraffic recovery = StoreTraffic::Now().Since(before);
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  EXPECT_EQ(*recovered, 1u);
+  EXPECT_EQ(recovery.requests.at("get"), 2u);  // the record + NotFound probe
+  EXPECT_EQ(recovery.requests.at("list"), 0u);
+  EXPECT_EQ(recovery.read_bytes, record->size);
+  EXPECT_EQ(w.lake.meta().txn_log_applied_seq(), seq);
 }
 
 // ---- Fault transparency ----------------------------------------------------
@@ -586,6 +733,77 @@ TEST(TxnLogDecodeTest, EveryTruncationOfAMultiTableRecordFailsCleanly) {
     TxnLogRecord out;
     EXPECT_FALSE(meta::DecodeTxnLogRecord(&dec, &out).ok()) << "prefix " << n;
   }
+
+  // The same bytes as a record object: ReadLog and Recover report DataLoss
+  // for every truncated prefix, for a record whose seq is not its name's,
+  // and for trailing bytes; the whole record at its own name reads back.
+  TxnLakeWorld w;
+  const CallerContext caller{.location = w.gcp};
+  const std::string name = w.coord->RecordObjectName(rec.seq);
+  for (uint64_t seq = 1; seq < rec.seq; ++seq) {
+    TxnLogRecord empty;
+    empty.seq = seq;
+    std::string body;
+    meta::EncodeTxnLogRecord(&body, empty);
+    ASSERT_TRUE(
+        w.store->Put(caller, "lake", w.coord->RecordObjectName(seq), body)
+            .ok());
+  }
+  ASSERT_TRUE(w.coord->Recover().ok());  // applies the six empty records
+  auto read_as_record = [&](std::string body) {
+    // Delete + create: replacing one object this often would hit the
+    // store's per-object mutation rate limit.
+    (void)w.store->Delete(caller, "lake", name);
+    EXPECT_TRUE(w.store->Put(caller, "lake", name, std::move(body)).ok());
+    Status log = w.coord->ReadLog().status();
+    Status recovered = w.coord->Recover().status();
+    EXPECT_EQ(recovered.code(), log.code()) << recovered.ToString();
+    return log;
+  };
+  for (size_t n = 0; n < bytes.size(); ++n) {
+    Status s = read_as_record(bytes.substr(0, n));
+    EXPECT_EQ(s.code(), StatusCode::kDataLoss) << "prefix " << n << ": "
+                                               << s.ToString();
+  }
+  EXPECT_EQ(read_as_record(bytes + "x").code(), StatusCode::kDataLoss);
+  TxnLogRecord other = rec;
+  other.seq = rec.seq + 1;
+  std::string other_bytes;
+  meta::EncodeTxnLogRecord(&other_bytes, other);
+  EXPECT_EQ(read_as_record(other_bytes).code(), StatusCode::kDataLoss);
+
+  ASSERT_TRUE(w.store->Delete(caller, "lake", name).ok());
+  EXPECT_TRUE(w.store->Put(caller, "lake", name, bytes).ok());
+  auto log = w.coord->ReadLog();
+  ASSERT_TRUE(log.ok()) << log.status().ToString();
+  ASSERT_EQ(log->size(), rec.seq);
+  std::string read_back;
+  meta::EncodeTxnLogRecord(&read_back, log->back());
+  EXPECT_EQ(read_back, bytes);
+}
+
+// ReadLog accepts exactly the names 1..n under the log prefix: a gap or a
+// foreign object there is DataLoss, not a silently shorter log.
+TEST(TxnLogDecodeTest, GapOrForeignObjectInLogIsDataLoss) {
+  TxnLakeWorld w;
+  ASSERT_TRUE(w.blmt.MultiTableInsert("u", {{kOrders, w.TxnRows(0, 2, 1)}})
+                  .ok());
+  ASSERT_EQ(w.coord->ReadLog()->size(), 1u);
+  const CallerContext caller{.location = w.gcp};
+  TxnLogRecord third;
+  third.seq = 3;
+  std::string body;
+  meta::EncodeTxnLogRecord(&body, third);
+  ASSERT_TRUE(
+      w.store->Put(caller, "lake", w.coord->RecordObjectName(3), body).ok());
+  EXPECT_EQ(w.coord->ReadLog().status().code(), StatusCode::kDataLoss);
+  ASSERT_TRUE(
+      w.store->Delete(caller, "lake", w.coord->RecordObjectName(3)).ok());
+  ASSERT_TRUE(w.store
+                  ->Put(caller, "lake", w.coord->options().prefix + "log/x",
+                        body)
+                  .ok());
+  EXPECT_EQ(w.coord->ReadLog().status().code(), StatusCode::kDataLoss);
 }
 
 }  // namespace
